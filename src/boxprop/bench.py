@@ -89,6 +89,7 @@ def gen_ising_grid(spec: GridSpec) -> FactorGraph:
     One unary factor ``exp(theta_i * s_i)`` per variable and one pairwise
     factor ``exp(J_ij * s_i * s_j)`` per grid edge, with ``theta`` and ``J``
     drawn i.i.d. standard normal at unit strength and scaled by ``beta``.
+    Raises ``ValueError`` when ``beta`` is so large that a table overflows.
     """
     if spec.domain_size != 2:
         raise ValueError("gen_ising_grid needs domain_size == 2")
@@ -98,14 +99,15 @@ def gen_ising_grid(spec: GridSpec) -> FactorGraph:
     theta = rng.normal(size=n) * spec.beta
     coupling = rng.normal(size=len(edges)) * spec.beta
     factors = []
-    for i in range(n):
-        factors.append(Factor(i, (i,), (2,), np.exp([-theta[i], theta[i]])))
-    for k, (a, b) in enumerate(edges):
-        j = coupling[k]
-        # Little-endian over scope (a, b): s_a*s_b is +1 at indices 0 and 3.
-        table = np.exp([j, -j, -j, j])
-        factors.append(Factor(n + k, (a, b), (2, 2), table))
-    return FactorGraph(factors)
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            factors.append(Factor(i, (i,), (2,), np.exp([-theta[i], theta[i]])))
+        for k, (a, b) in enumerate(edges):
+            j = coupling[k]
+            # Little-endian over scope (a, b): s_a*s_b is +1 at indices 0 and 3.
+            table = np.exp([j, -j, -j, j])
+            factors.append(Factor(n + k, (a, b), (2, 2), table))
+    return _finite_grid(factors, spec)
 
 
 def gen_ternary_grid(spec: GridSpec) -> FactorGraph:
@@ -113,17 +115,30 @@ def gen_ternary_grid(spec: GridSpec) -> FactorGraph:
 
     Each of the nine entries of every edge table is the exponential of an
     independent normal draw with standard deviation ``beta`` (drawn at unit
-    strength, scaled by ``beta`` in log space).
+    strength, scaled by ``beta`` in log space). Raises ``ValueError`` when
+    ``beta`` is so large that a table overflows.
     """
     if spec.domain_size != 3:
         raise ValueError("gen_ternary_grid needs domain_size == 3")
     edges = grid_edges(spec.rows, spec.cols)
     rng = np.random.default_rng(spec.seed)
     logs = rng.normal(size=(len(edges), 9)) * spec.beta
-    factors = [
-        Factor(k, (a, b), (3, 3), np.exp(logs[k]))
-        for k, (a, b) in enumerate(edges)
-    ]
+    with np.errstate(over="ignore"):
+        factors = [
+            Factor(k, (a, b), (3, 3), np.exp(logs[k]))
+            for k, (a, b) in enumerate(edges)
+        ]
+    return _finite_grid(factors, spec)
+
+
+def _finite_grid(factors: list[Factor], spec: GridSpec) -> FactorGraph:
+    """The graph of the generated factors; ``ValueError`` if ``exp`` overflowed."""
+    for f in factors:
+        if not np.isfinite(f.table).all():
+            raise ValueError(
+                f"beta={spec.beta} overflows exp in factor {f.id} of the "
+                f"{spec.rows}x{spec.cols} grid (seed {spec.seed}); use a smaller beta"
+            )
     return FactorGraph(factors)
 
 

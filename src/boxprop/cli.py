@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import click
 
@@ -92,7 +93,7 @@ def gen_grid(rows, cols, domain, beta, seed, out_path):
 @cli.command("validate")
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True)
 def validate_cmd(in_path):
-    """Check connectedness and positivity; exit 2 when violations exist."""
+    """Check connectedness, finite tables and positivity; exit 2 on violations."""
     _banner("validate", **{"in": in_path})
     g = _load_graph(in_path)
     violations = validate(g)
@@ -121,7 +122,7 @@ def _validated_graph(in_path):
 @click.option("--max-nodes", type=int, default=DEFAULT_MAX_NODES, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def bound_cmd(method, in_path, root, max_nodes, out_path):
-    """Per-variable bound boxes as JSON lines."""
+    """Per-variable bound boxes as JSON lines (time_ms: tree build plus propagation)."""
     _banner(
         "bound", method=method, max_nodes=max_nodes, root="all" if root is None else root,
         **{"in": in_path, "out": out_path},
@@ -130,7 +131,9 @@ def bound_cmd(method, in_path, root, max_nodes, out_path):
     roots = range(g.num_variables) if root is None else [root]
     lines = []
     for v in roots:
+        t0 = perf_counter()
         res = run_method(g, method, v, max_nodes)
+        ms = (perf_counter() - t0) * 1e3
         lines.append(
             json.dumps(
                 {
@@ -139,7 +142,7 @@ def bound_cmd(method, in_path, root, max_nodes, out_path):
                     "lower": [float(x) for x in res.box.lower.values],
                     "upper": [float(x) for x in res.box.upper.values],
                     "nodes_used": res.nodes_used,
-                    "time_ms": round(res.elapsed * 1e3, 3),
+                    "time_ms": round(ms, 3),
                 }
             )
         )

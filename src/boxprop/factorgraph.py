@@ -141,9 +141,9 @@ def markov_blanket(g: FactorGraph, i: int) -> set[int]:
 
 @dataclass(frozen=True)
 class Violation:
-    """A structural or positivity defect reported by :func:`validate`."""
+    """A structural, finiteness or positivity defect reported by :func:`validate`."""
 
-    kind: str  # "disconnected" | "positivity"
+    kind: str  # "disconnected" | "non-finite" | "positivity"
     factor: int | None
     variable: int | None
     assignment: tuple[int, ...] | None
@@ -151,12 +151,16 @@ class Violation:
 
 
 def validate(g: FactorGraph) -> list[Violation]:
-    """Check connectedness and the positivity condition.
+    """Check connectedness, finite tables and the positivity condition.
 
-    The positivity condition requires, for every factor, every scope variable
-    ``i`` and every joint assignment of the remaining scope variables, that the
-    sum of the table over ``x_i`` is strictly positive. It guarantees that
-    normalization never divides by zero during propagation.
+    Every table entry must be finite. A factor with an ``inf`` or ``NaN`` entry
+    gets one ``non-finite`` violation per such entry (its assignment runs over
+    the whole scope) and is not checked for positivity, whose sums such entries
+    would make meaningless. The positivity condition requires, for every
+    factor, every scope variable ``i`` and every joint assignment of the
+    remaining scope variables, that the sum of the table over ``x_i`` is
+    strictly positive. It guarantees that normalization never divides by zero
+    during propagation.
 
     Violations are returned, not raised; an empty list means the graph passed.
     """
@@ -191,6 +195,20 @@ def validate(g: FactorGraph) -> list[Violation]:
 
     for f in g.factors:
         nd = f.table_nd()
+        if not np.isfinite(f.table).all():
+            for assignment in np.argwhere(~np.isfinite(nd)):
+                at = tuple(int(x) for x in assignment)
+                out.append(
+                    Violation(
+                        "non-finite",
+                        f.id,
+                        None,
+                        at,
+                        f"factor {f.id}: table entry {nd[at]} at assignment "
+                        f"{dict(zip(f.scope, at))} is not finite",
+                    )
+                )
+            continue
         for pos, v in enumerate(f.scope):
             summed = nd.sum(axis=pos)
             rest = tuple(u for u in f.scope if u != v)

@@ -9,9 +9,17 @@ convex, and the bound computations below only ever need their extreme points:
 the corners of a box, or the one-hot measures of a simplex.
 
 All operations are pure functions of immutable inputs and are safe to call
-concurrently. Extreme-point enumeration is exponential in the number of free
-states, so every enumerating operation is capped at ``ENUMERATION_CAP``
-combinations and raises :class:`CapacityExceededError` beyond that.
+concurrently. They are also deterministic: equal input bytes give equal output
+bytes. ``boxprop.propagation`` relies on that to memoize factor messages per
+``Factor``, keyed on the exact bytes of the incoming boxes, at most
+``MESSAGE_MEMO_CAP`` messages per factor, so a memo hit is bit-identical to a
+recomputation; concurrent roots that miss on one key store equal boxes. The
+only state kept here is the per-factor cache of summed-out table matrices,
+which likewise dies with its factor.
+
+Extreme-point enumeration is exponential in the number of free states, so
+every enumerating operation is capped at ``ENUMERATION_CAP`` combinations and
+raises :class:`CapacityExceededError` beyond that.
 """
 
 from __future__ import annotations

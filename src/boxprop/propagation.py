@@ -10,8 +10,22 @@ contain any converged loopy BP belief for the root.
 Loopy BP and two exact-inference engines (brute-force enumeration and variable
 elimination) are included as oracles for checking those containment claims.
 
-All functions are pure over immutable graphs; distinct roots and methods can
-run concurrently. A single propagation pass is sequential (leaf-to-root order).
+Both methods send factor messages through one memo: per ``Factor``, a dict
+maps (factor rule, parent variable, incoming message sets) to the box the
+factor sends. Walk trees repeat the same local neighbourhoods many times, so
+most messages of a pass, and of later roots on the same graph, are hits. Keys
+hold the exact bytes of every incoming box (``None`` for a simplex) and the
+kernels are deterministic, so a hit returns the very box a recomputation would
+give and every bound is bit-identical to an unmemoized run. Entries live in a
+``WeakKeyDictionary`` and die with their factor, so two graphs never share
+one. A factor stores at most ``MESSAGE_MEMO_CAP`` messages; past that its new
+messages are computed without being stored.
+
+All functions are deterministic over immutable graphs; distinct roots and
+methods can run concurrently. The memo is the only state they share: two
+roots that miss on the same key both compute it and store equal boxes, and a
+lock around each insert keeps the cap exact. A single propagation pass is
+sequential (leaf-to-root order).
 """
 
 from __future__ import annotations
@@ -19,12 +33,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from math import prod
+from threading import Lock
 from time import perf_counter
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .errors import CapacityExceededError
-from .factorgraph import FactorGraph
+from .factorgraph import Factor, FactorGraph
 from .measure import (
     Box,
     Measure,
@@ -60,6 +76,7 @@ __all__ = [
     "exact_marginals",
     "BRUTE_CAP",
     "VARELIM_BUCKET_CAP",
+    "MESSAGE_MEMO_CAP",
 ]
 
 VAR = "v"
@@ -68,6 +85,13 @@ Node = tuple[str, int]
 
 BRUTE_CAP = 1 << 26
 VARELIM_BUCKET_CAP = 1 << 20
+MESSAGE_MEMO_CAP = 1024
+
+JOINT = "joint"
+FACTORIZED = "factorized"
+
+_FACTOR_MESSAGES: "WeakKeyDictionary[Factor, dict[tuple, Box]]" = WeakKeyDictionary()
+_MEMO_LOCK = Lock()
 
 
 def _neighbors(g: FactorGraph, node: Node) -> list[Node]:
@@ -164,6 +188,40 @@ def _subtree_variable_message(g, t, child_sets, msg, u: Node) -> MessageSet:
     return box_product_same_scope(boxes)
 
 
+def _factor_message(
+    g: FactorGraph, f: Factor, keep: int, incoming: dict[int, MessageSet], rule: str
+) -> Box:
+    """The box factor ``f`` sends to ``keep``, memoized per factor.
+
+    ``incoming`` maps every other scope variable to its message set. The
+    ``JOINT`` rule encloses them in one joint box (a simplex becomes the [0,1]
+    box on its variable, the loosest box containing it) and enumerates its
+    corners; the ``FACTORIZED`` rule
+    enumerates each set's extreme points separately. The key is built from the
+    raw message sets, so a hit skips the joint product as well.
+    """
+    msgs = [(v, incoming[v]) for v in f.scope if v != keep]
+    key = (rule, keep) + tuple(
+        None if isinstance(m, Simplex) else m.lower.values.tobytes() + m.upper.values.tobytes()
+        for _, m in msgs
+    )
+    memo = _FACTOR_MESSAGES.get(f)
+    if memo is None:
+        memo = _FACTOR_MESSAGES.setdefault(f, {})
+    box = memo.get(key)
+    if box is not None:
+        return box
+    if rule == JOINT:
+        boxes = [full_box(v, g.domain_size(v)) if isinstance(m, Simplex) else m for v, m in msgs]
+        box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
+    else:
+        box = bound_sum_product(f, keep, incoming)
+    with _MEMO_LOCK:
+        if len(memo) < MESSAGE_MEMO_CAP:
+            memo[key] = box
+    return box
+
+
 def _subtree_factor_message(g, t, child_sets, msg, u: Node) -> Box:
     _, fid = u
     f = g.factors[fid]
@@ -177,7 +235,7 @@ def _subtree_factor_message(g, t, child_sets, msg, u: Node) -> Box:
             incoming[v] = msg[vnode]
         else:
             incoming[v] = Simplex(v, g.domain_size(v))
-    return bound_sum_product(f, parent_var, incoming)
+    return _factor_message(g, f, parent_var, incoming, FACTORIZED)
 
 
 def boxprop_subtree(g: FactorGraph, t: Subtree) -> BoundResult:
@@ -325,18 +383,9 @@ def _saw_message(g: FactorGraph, node: SawNode, msg: dict[int, MessageSet]) -> M
             return unit_box(idx, g.domain_size(idx))
         return box_product_same_scope(boxes)
     # Factor endpoint: bound the sum-product through one joint box over the
-    # non-parent scope variables. A simplex child is replaced by the [0,1] box
-    # on its variable, the loosest box containing it.
-    f = g.factors[idx]
-    parent_var = node.parent.endpoint[1]
-    by_var: dict[int, Box] = {}
-    for c in node.children:
-        w = c.endpoint[1]
-        m = msg[id(c)]
-        by_var[w] = full_box(w, g.domain_size(w)) if isinstance(m, Simplex) else m
-    boxes = [by_var[v] for v in f.scope if v != parent_var]
-    joint = box_product_disjoint_sbb(boxes)
-    return bound_sum_product_joint(f, parent_var, joint)
+    # non-parent scope variables.
+    incoming = {c.endpoint[1]: msg[id(c)] for c in node.children}
+    return _factor_message(g, g.factors[idx], node.parent.endpoint[1], incoming, JOINT)
 
 
 def boxprop_sawtree(g: FactorGraph, t: SawTree) -> BoundResult:

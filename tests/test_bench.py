@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,14 @@ def test_tiny_beta_near_uniform_and_tiny_gaps():
     g3 = gen_ternary_grid(GridSpec(4, 4, 3, 1e-8, 9))
     for f in g3.factors:
         assert np.abs(f.table - 1.0).max() < 1e-6
+
+
+def test_generators_refuse_overflowing_beta():
+    for maker, dom in ((gen_ising_grid, 2), (gen_ternary_grid, 3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows exp"):
+                maker(GridSpec(3, 3, dom, 800.0, 0))
 
 
 def test_grid_spec_validation():

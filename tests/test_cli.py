@@ -1,8 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from boxprop import cli as cli_module
 from boxprop.cli import main
 from boxprop.factorgraph import parse_fg, write_fg
 from helpers import graph_from, random_tree_graph, triangle_graph
@@ -59,6 +61,33 @@ def test_validate_ok(triangle_file, capsys):
     code, out, _ = run(capsys, "validate", "--in", triangle_file)
     assert code == 0
     assert out.strip() == "ok"
+
+
+def test_gen_grid_overflow_is_exit_2(tmp_path, capsys):
+    fg = tmp_path / "g.fg"
+    code, _, err = run(
+        capsys, "gen", "grid", "--rows", "3", "--cols", "3", "--beta", "800", "--out", str(fg),
+    )
+    assert code == 2
+    assert "overflows exp" in err
+    assert not fg.exists()
+
+
+def test_bound_time_covers_tree_build(triangle_file, capsys, monkeypatch):
+    # time_ms is taken around run_method, as in compare, not read from the
+    # propagation-only BoundResult.elapsed.
+    real = cli_module.run_method
+
+    def slow(*args):
+        time.sleep(0.05)
+        res = real(*args)
+        res.elapsed = 0.0
+        return res
+
+    monkeypatch.setattr(cli_module, "run_method", slow)
+    code, out, _ = run(capsys, "bound", "--method", "subtree", "--in", triangle_file, "--root", "0")
+    assert code == 0
+    assert json.loads(out)["time_ms"] >= 50.0
 
 
 def test_validate_reports_violations(tmp_path, capsys):

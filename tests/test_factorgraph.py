@@ -145,6 +145,15 @@ def test_validate_positivity_zero_column():
     assert hit and hit[0].assignment == (1,)
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_validate_reports_non_finite_entry(value):
+    # An inf entry used to pass; a NaN entry was reported as a zero sum.
+    g = graph_from([((0, 1), (2, 2), (1.0, 2.0, float(value), 1.0)), ((1,), (2,), (1.0, 1.0))])
+    violations = validate(g)
+    assert [(v.kind, v.factor, v.assignment) for v in violations] == [("non-finite", 0, (0, 1))]
+    assert value in violations[0].message
+
+
 def test_validate_disconnected():
     g = graph_from([((0,), (2,), (1.0, 1.0)), ((1,), (2,), (1.0, 1.0))])
     kinds = {v.kind for v in validate(g)}

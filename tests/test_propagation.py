@@ -1,10 +1,19 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
+from boxprop import propagation
 from boxprop.errors import CapacityExceededError
 from boxprop.factorgraph import validate
+from boxprop.measure import Box, Measure
 from boxprop.propagation import (
     FAC,
+    FACTORIZED,
+    JOINT,
     VAR,
     bp_marginals,
     boxprop_sawtree,
@@ -15,7 +24,7 @@ from boxprop.propagation import (
     saw_tree_from_subtree,
     _neighbors,
 )
-from boxprop.bench import GridSpec, gap, gen_ising_grid
+from boxprop.bench import GridSpec, gap, gen_ising_grid, run_method
 from helpers import (
     box_contains,
     graph_from,
@@ -254,6 +263,133 @@ def test_bound_result_fields():
     assert res.nodes_used == 6
     assert res.elapsed >= 0.0
     assert res.box.lower.values.sum() <= 1.0 + 1e-12 <= res.box.upper.values.sum() + 2e-12
+
+
+# ----------------------------------------------------- factor-message memo
+
+
+def root_bytes(g, method, root, budget):
+    box = run_method(g, method, root, budget).box
+    return box.lower.values.tobytes() + box.upper.values.tobytes()
+
+
+def all_root_bytes(g, clear=False):
+    """Box bytes of every root, sawtree roots first, then subtree roots."""
+    out = []
+    for method, budget in (("sawtree", 400), ("subtree", 60)):
+        for r in range(g.num_variables):
+            if clear:
+                propagation._FACTOR_MESSAGES.clear()
+            out.append(root_bytes(g, method, r, budget))
+    return out
+
+
+def box1(v, lower, upper):
+    d = len(lower)
+    return Box(Measure((v,), (d,), np.array(lower)), Measure((v,), (d,), np.array(upper)))
+
+
+def fresh_copy(g):
+    return graph_from([(f.scope, f.sizes, f.table) for f in g.factors])
+
+
+def test_memo_warm_equals_cold():
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=3)
+        warm = all_root_bytes(g)
+        assert warm == all_root_bytes(fresh_copy(g), clear=True)
+
+
+def test_memo_keys_on_the_factor_rule():
+    rng = np.random.default_rng(22)
+    tables = [
+        ((0, 1, 2), (2, 3, 2), rng.uniform(0.1, 2.0, 12)),
+        ((0, 3), (2, 2), rng.uniform(0.1, 2.0, 4)),
+        ((1, 3), (3, 2), rng.uniform(0.1, 2.0, 6)),
+        ((2, 3), (2, 2), rng.uniform(0.1, 2.0, 4)),
+    ]
+
+    def message(g, incoming, rule):
+        box = propagation._factor_message(g, g.factors[0], 0, incoming, rule)
+        return box.lower.values.tobytes() + box.upper.values.tobytes()
+
+    # The two rules send different boxes from the three-variable factor, and a
+    # box differing only in its upper bound is a different key.
+    g = graph_from(tables)
+    narrow = {1: box1(1, [0.2, 0.3, 0.1], [0.5, 0.6, 0.9]), 2: box1(2, [0.1, 0.4], [0.7, 0.5])}
+    wide = {1: narrow[1], 2: box1(2, [0.1, 0.4], [0.9, 0.5])}
+    joint = message(g, narrow, JOINT)
+    assert joint != message(g, narrow, FACTORIZED)
+    assert message(g, wide, JOINT) == message(graph_from(tables), wide, JOINT) != joint
+    # Sawtree and then subtree on one graph object match fresh copies.
+    g = graph_from(tables)
+    for method in ("sawtree", "subtree"):
+        for budget in (3, 6, 12, 200):
+            for r in range(g.num_variables):
+                fresh = graph_from(tables)
+                assert root_bytes(g, method, r, budget) == root_bytes(fresh, method, r, budget)
+
+
+def test_memo_misses_are_the_distinct_messages(monkeypatch):
+    # On this grid the 25 walk trees ask for 86,903 factor messages, of which
+    # 3,369 are distinct; only those reach the kernel.
+    calls = 0
+    kernel = propagation.bound_sum_product_joint
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(propagation, "bound_sum_product_joint", counting)
+    g = gen_ising_grid(GridSpec(5, 5, 2, 1.0, 42))
+    for r in range(g.num_variables):
+        boxprop_sawtree(g, build_saw_tree(g, r, 5000))
+    assert calls == 3_369
+
+
+def test_memo_dies_with_the_graph_and_respects_the_cap(monkeypatch):
+    rng = np.random.default_rng(23)
+    g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=3)
+    uncapped = all_root_bytes(fresh_copy(g))
+    monkeypatch.setattr(propagation, "MESSAGE_MEMO_CAP", 2)
+    gc.collect()
+    before = len(propagation._FACTOR_MESSAGES)
+    assert all_root_bytes(g) == uncapped
+    sizes = [len(propagation._FACTOR_MESSAGES[f]) for f in g.factors]
+    assert max(sizes) == 2
+    assert len(propagation._FACTOR_MESSAGES) == before + g.num_factors
+    refs = [weakref.ref(f) for f in g.factors]
+    del g
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert len(propagation._FACTOR_MESSAGES) == before
+
+
+def test_memo_shared_by_concurrent_roots(monkeypatch):
+    rng = np.random.default_rng(24)
+    g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=3)
+    expected = all_root_bytes(fresh_copy(g))
+    monkeypatch.setattr(propagation, "MESSAGE_MEMO_CAP", 3)
+    results = [None] * 4
+
+    def work(k):
+        results[k] = all_root_bytes(g)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 4
+    assert max(len(propagation._FACTOR_MESSAGES[f]) for f in g.factors) == 3
 
 
 # ------------------------------------------------------------------ BP
