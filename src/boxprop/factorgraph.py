@@ -64,7 +64,7 @@ class Factor:
             raise ValueError(
                 f"factor {self.id}: table length {table.size} != product of sizes {prod(sizes)}"
             )
-        if table.size and table.min() < 0.0:
+        if (table < 0.0).any():
             raise ValueError(f"factor {self.id}: negative table entry")
         table.setflags(write=False)
         object.__setattr__(self, "scope", scope)

@@ -10,10 +10,10 @@ the corners of a box, or the one-hot measures of a simplex.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently. They are also deterministic: equal input bytes give equal output
-bytes. ``boxprop.propagation`` relies on that to memoize factor messages per
-``Factor``, keyed on the exact bytes of the incoming boxes, at most
-``MESSAGE_MEMO_CAP`` messages per factor, so a memo hit is bit-identical to a
-recomputation; concurrent roots that miss on one key store equal boxes. The
+bytes. ``boxprop.propagation`` relies on that to memoize variable and factor
+messages per graph, keyed on interned ids that each stand for one box's exact
+bytes (at most ``MESSAGE_MEMO_CAP`` entries per graph node before a fresh
+memo is started), so a memo hit is bit-identical to a recomputation. The
 only state kept here is the per-factor cache of summed-out table matrices,
 which likewise dies with its factor.
 
@@ -84,7 +84,7 @@ class Measure:
             raise ValueError(
                 f"values length {values.size} != product of sizes {prod(self.sizes)}"
             )
-        if values.size and values.min() < 0.0:
+        if (values < 0.0).any():
             raise ValueError("measure values must be nonnegative")
         self.values = values
 
@@ -322,12 +322,15 @@ def box_product_disjoint_sbb(boxes: Sequence[Box]) -> Box:
         seen.update(b.scope)
     if len(boxes) == 1:
         return boxes[0]
-    lower = scalar_measure(1.0)
-    upper = scalar_measure(1.0)
+    # Flat outer products, each entry one product taken in the same order as
+    # ``multiply`` would take it (IEEE products commute), so the bytes match.
+    lower = upper = np.ones(1)
     for b in boxes:
-        lower = multiply(lower, b.lower)
-        upper = multiply(upper, b.upper)
-    return Box._new(lower, upper)
+        lower = np.multiply.outer(b.lower.values, lower).ravel()
+        upper = np.multiply.outer(b.upper.values, upper).ravel()
+    scope = tuple(v for b in boxes for v in b.scope)
+    sizes = tuple(d for b in boxes for d in b.sizes)
+    return Box._new(Measure._new(scope, sizes, lower), Measure._new(scope, sizes, upper))
 
 
 def _bounding_box_of_normalized(

@@ -10,22 +10,22 @@ contain any converged loopy BP belief for the root.
 Loopy BP and two exact-inference engines (brute-force enumeration and variable
 elimination) are included as oracles for checking those containment claims.
 
-Both methods send factor messages through one memo: per ``Factor``, a dict
-maps (factor rule, parent variable, incoming message sets) to the box the
-factor sends. Walk trees repeat the same local neighbourhoods many times, so
-most messages of a pass, and of later roots on the same graph, are hits. Keys
-hold the exact bytes of every incoming box (``None`` for a simplex) and the
-kernels are deterministic, so a hit returns the very box a recomputation would
-give and every bound is bit-identical to an unmemoized run. Entries live in a
-``WeakKeyDictionary`` and die with their factor, so two graphs never share
-one. A factor stores at most ``MESSAGE_MEMO_CAP`` messages; past that its new
-messages are computed without being stored.
+Both methods run one message step on small ints: each id indexes a per-graph
+intern table of message sets (below ``num_variables`` the simplices, above
+them boxes keyed by scope and exact bytes). A variable memo keyed on the
+variable and its children's ids, and a factor memo keyed on the rule, factor,
+parent variable and children's ids, make a repeated local neighbourhood cost
+one tuple and one dict lookup; walk trees repeat neighbourhoods many times. A
+key fixes its inputs' bytes and order and the kernels are deterministic, so
+every bound is bit-identical to an unmemoized run.
 
-All functions are deterministic over immutable graphs; distinct roots and
-methods can run concurrently. The memo is the only state they share: two
-roots that miss on the same key both compute it and store equal boxes, and a
-lock around each insert keeps the cap exact. A single propagation pass is
-sequential (leaf-to-root order).
+The registry holding the table, both memos and the cached adjacency is held
+weakly by graph, made on the first root, and dies with the graph. A root that
+starts on a registry whose memos exceed ``MESSAGE_MEMO_CAP`` entries per
+bipartite node swaps in a fresh one; a root in flight keeps its own, so no id
+it holds is invalidated. Distinct roots and methods can run concurrently:
+interning runs under a lock, so one id never names two boxes, and two roots
+that miss on one key store the same id. A single pass is sequential.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .errors import CapacityExceededError
-from .factorgraph import Factor, FactorGraph
+from .factorgraph import FactorGraph
 from .measure import (
     Box,
     Measure,
@@ -90,16 +90,107 @@ MESSAGE_MEMO_CAP = 1024
 JOINT = "joint"
 FACTORIZED = "factorized"
 
-_FACTOR_MESSAGES: "WeakKeyDictionary[Factor, dict[tuple, Box]]" = WeakKeyDictionary()
 _MEMO_LOCK = Lock()
 
 
-def _neighbors(g: FactorGraph, node: Node) -> list[Node]:
-    """Graph neighbors of a bipartite node, in ascending id order."""
-    kind, idx = node
-    if kind == VAR:
-        return [(FAC, fid) for fid in g.var_factors(idx)]
-    return [(VAR, v) for v in sorted(g.factors[idx].scope)]
+class _Registry:
+    """One graph's interned message sets, both message memos and its adjacency.
+
+    ``var_memo`` maps ``(v, *child ids)`` and ``factor_memo`` maps ``(rule,
+    fid, keep, *child ids)`` to the id of the message sent, a factor's child
+    ids following its other scope variables in ascending order. Bipartite node
+    ``i`` is variable ``i``, or factor ``i - num_variables``; ``nbrs[i]`` lists
+    its neighbours in ascending id order, ``node_of[i]`` is its node tuple.
+    """
+
+    def __init__(self, g: FactorGraph):
+        n = g.num_variables
+        self.num_variables = n
+        self.factors = g.factors
+        self.sizes = tuple(g.domain_size(v) for v in range(n))
+        self.sets: list[MessageSet] = [Simplex(v, d) for v, d in enumerate(self.sizes)]
+        self.index: dict[tuple, int] = {}
+        self.var_memo: dict[tuple, int] = {}
+        self.factor_memo: dict[tuple, int] = {}
+        self.nbrs: tuple[tuple[int, ...], ...] = tuple(
+            tuple(n + fid for fid in g.var_factors(v)) for v in range(n)
+        ) + tuple(tuple(sorted(f.scope)) for f in g.factors)
+        self.node_of: tuple[Node, ...] = tuple((VAR, v) for v in range(n)) + tuple(
+            (FAC, fid) for fid in range(g.num_factors)
+        )
+
+    def intern(self, box: Box) -> int:
+        """The id of ``box``, adding it if no box with its bytes has one yet."""
+        key = (box.scope, box.lower.values.tobytes(), box.upper.values.tobytes())
+        with _MEMO_LOCK:
+            i = self.index.get(key)
+            if i is None:
+                i = self.index[key] = len(self.sets)
+                self.sets.append(box)
+        return i
+
+
+_REGISTRIES: "WeakKeyDictionary[FactorGraph, _Registry]" = WeakKeyDictionary()
+
+
+def _registry(g: FactorGraph) -> _Registry:
+    """The graph's registry, made on first use and swapped for a fresh one when full.
+
+    A caller keeps the registry it got for a whole pass, so a swap by another
+    root never invalidates the ids it holds.
+    """
+    with _MEMO_LOCK:
+        reg = _REGISTRIES.get(g)
+        cap = MESSAGE_MEMO_CAP * (g.num_variables + g.num_factors)
+        if reg is None or len(reg.var_memo) + len(reg.factor_memo) > cap:
+            reg = _REGISTRIES[g] = _Registry(g)
+    return reg
+
+
+def _variable_message(reg: _Registry, v: int, ids: tuple[int, ...]) -> int:
+    """Id of the message variable ``v`` sends, given its children's message ids.
+
+    A simplex child absorbs the product; no children send the unit box.
+    """
+    if v in ids:
+        return v
+    key = (v,) + ids
+    m = reg.var_memo.get(key)
+    if m is None:
+        if ids:
+            box = box_product_same_scope([reg.sets[i] for i in ids])
+        else:
+            box = unit_box(v, reg.sizes[v])
+        m = reg.var_memo[key] = reg.intern(box)
+    return m
+
+
+def _factor_message(reg: _Registry, rule: str, fid: int, keep: int, ids: tuple[int, ...]) -> int:
+    """Id of the box factor ``fid`` sends to ``keep`` under ``rule``.
+
+    ``ids`` holds the message sets of the other scope variables, in ascending
+    variable order. The ``JOINT`` rule encloses them in one joint box (a
+    simplex becomes the [0,1] box on its variable, the loosest box containing
+    it) and enumerates its corners; the ``FACTORIZED`` rule enumerates each
+    set's extreme points separately.
+    """
+    key = (rule, fid, keep) + ids
+    m = reg.factor_memo.get(key)
+    if m is None:
+        f = reg.factors[fid]
+        others = [v for v in sorted(f.scope) if v != keep]
+        incoming = {v: reg.sets[i] for v, i in zip(others, ids)}
+        if rule == JOINT:
+            boxes = [
+                full_box(v, reg.sizes[v]) if isinstance(incoming[v], Simplex) else incoming[v]
+                for v in f.scope
+                if v != keep
+            ]
+            box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
+        else:
+            box = bound_sum_product(f, keep, incoming)
+        m = reg.factor_memo[key] = reg.intern(box)
+    return m
 
 
 @dataclass(eq=False)
@@ -120,20 +211,26 @@ def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> Subtree:
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
-    root_node: Node = (VAR, root)
+    if not 0 <= root < g.num_variables:
+        raise ValueError(f"root {root} is not a variable of the graph")
+    reg = _registry(g)
+    nbrs, node_of = reg.nbrs, reg.node_of
+    root_node = node_of[root]
     nodes = {root_node}
     parent: dict[Node, Node] = {}
     children: dict[Node, list[Node]] = {root_node: []}
-    queue: deque[Node] = deque([root_node])
+    queue: deque[int] = deque([root])
     while queue:
         u = queue.popleft()
-        for w in _neighbors(g, u):
-            if w in nodes or len(nodes) >= max_nodes:
+        unode = node_of[u]
+        for w in nbrs[u]:
+            wnode = node_of[w]
+            if wnode in nodes or len(nodes) >= max_nodes:
                 continue
-            nodes.add(w)
-            parent[w] = u
-            children[u].append(w)
-            children[w] = []
+            nodes.add(wnode)
+            parent[wnode] = unode
+            children[unode].append(wnode)
+            children[wnode] = []
             queue.append(w)
     return Subtree(root, nodes, parent, children)
 
@@ -149,103 +246,29 @@ class BoundResult:
     elapsed: float
 
 
-def _finalize_root(g: FactorGraph, root: int, msgs: list[MessageSet]) -> Box:
-    """Combine the root's incoming messages into the final belief box.
+def _finalize_root(reg: _Registry, root: int, ids: tuple[int, ...]) -> Box:
+    """Combine the root's incoming message ids into the final belief box.
 
-    If any incoming message is a whole simplex the belief is vacuous and the
+    If there are none, or any is a whole simplex, the belief is vacuous and the
     [0,1] box is returned; otherwise the box product of the incoming boxes is
     normalized corner by corner and enclosed in its smallest bounding box.
     """
-    d = g.domain_size(root)
-    boxes: list[Box] = []
-    for m in msgs:
-        if isinstance(m, Simplex):
-            return full_box(root, d)
-        boxes.append(m)
-    if not boxes:
-        return full_box(root, d)
-    return normalized_corner_box(box_product_same_scope(boxes))
-
-
-def _subtree_variable_message(g, t, child_sets, msg, u: Node) -> MessageSet:
-    _, v = u
-    parent = t.parent[u]
-    boxes: list[Box] = []
-    for fid in g.var_factors(v):
-        fnode: Node = (FAC, fid)
-        if fnode == parent:
-            continue
-        if fnode not in child_sets[u]:
-            # Edge exists in the graph but not in the subtree: the unknown
-            # contribution is a whole simplex, which absorbs the product.
-            return Simplex(v, g.domain_size(v))
-        m = msg[fnode]
-        if isinstance(m, Simplex):
-            return Simplex(v, g.domain_size(v))
-        boxes.append(m)
-    if not boxes:
-        return unit_box(v, g.domain_size(v))
-    return box_product_same_scope(boxes)
-
-
-def _factor_message(
-    g: FactorGraph, f: Factor, keep: int, incoming: dict[int, MessageSet], rule: str
-) -> Box:
-    """The box factor ``f`` sends to ``keep``, memoized per factor.
-
-    ``incoming`` maps every other scope variable to its message set. The
-    ``JOINT`` rule encloses them in one joint box (a simplex becomes the [0,1]
-    box on its variable, the loosest box containing it) and enumerates its
-    corners; the ``FACTORIZED`` rule
-    enumerates each set's extreme points separately. The key is built from the
-    raw message sets, so a hit skips the joint product as well.
-    """
-    msgs = [(v, incoming[v]) for v in f.scope if v != keep]
-    key = (rule, keep) + tuple(
-        None if isinstance(m, Simplex) else m.lower.values.tobytes() + m.upper.values.tobytes()
-        for _, m in msgs
-    )
-    memo = _FACTOR_MESSAGES.get(f)
-    if memo is None:
-        memo = _FACTOR_MESSAGES.setdefault(f, {})
-    box = memo.get(key)
-    if box is not None:
-        return box
-    if rule == JOINT:
-        boxes = [full_box(v, g.domain_size(v)) if isinstance(m, Simplex) else m for v, m in msgs]
-        box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
-    else:
-        box = bound_sum_product(f, keep, incoming)
-    with _MEMO_LOCK:
-        if len(memo) < MESSAGE_MEMO_CAP:
-            memo[key] = box
-    return box
-
-
-def _subtree_factor_message(g, t, child_sets, msg, u: Node) -> Box:
-    _, fid = u
-    f = g.factors[fid]
-    parent_var = t.parent[u][1]
-    incoming: dict[int, MessageSet] = {}
-    for v in f.scope:
-        if v == parent_var:
-            continue
-        vnode: Node = (VAR, v)
-        if vnode in child_sets[u]:
-            incoming[v] = msg[vnode]
-        else:
-            incoming[v] = Simplex(v, g.domain_size(v))
-    return _factor_message(g, f, parent_var, incoming, FACTORIZED)
+    if not ids or root in ids:
+        return full_box(root, reg.sizes[root])
+    return normalized_corner_box(box_product_same_scope([reg.sets[i] for i in ids]))
 
 
 def boxprop_subtree(g: FactorGraph, t: Subtree) -> BoundResult:
     """Leaf-to-root box propagation over a subtree of the factor graph.
 
     The returned box contains the exact marginal of the root variable and any
-    converged loopy BP belief for it, whatever the subtree choice.
+    converged loopy BP belief for it, whatever the subtree choice. A graph
+    edge missing from the subtree sends a whole simplex, as a truncated walk
+    does.
     """
     start = perf_counter()
-    child_sets = {u: set(cs) for u, cs in t.children.items()}
+    reg = _registry(g)
+    nbrs, node_of, n = reg.nbrs, reg.node_of, reg.num_variables
     root_node: Node = (VAR, t.root)
     order: list[Node] = []
     stack = [root_node]
@@ -253,25 +276,27 @@ def boxprop_subtree(g: FactorGraph, t: Subtree) -> BoundResult:
         u = stack.pop()
         order.append(u)
         stack.extend(t.children[u])
-    msg: dict[Node, MessageSet] = {}
+    msg: dict[Node, int] = {}
     for u in reversed(order):
+        kind, idx = u
+        kids = t.children[u]
+        parent = t.parent.get(u)
+        # A neighbour that is not a child sends the simplex on the edge's variable.
+        ids = tuple(
+            msg[w] if w in kids else (idx if kind == VAR else w[1])
+            for w in (node_of[i] for i in nbrs[idx if kind == VAR else n + idx])
+            if w != parent
+        )
         if u == root_node:
-            continue
-        if u[0] == VAR:
-            msg[u] = _subtree_variable_message(g, t, child_sets, msg, u)
+            belief = _finalize_root(reg, t.root, ids)
+        elif kind == VAR:
+            msg[u] = _variable_message(reg, idx, ids)
         else:
-            msg[u] = _subtree_factor_message(g, t, child_sets, msg, u)
-    incoming = [
-        msg[(FAC, fid)]
-        if (FAC, fid) in child_sets[root_node]
-        else Simplex(t.root, g.domain_size(t.root))
-        for fid in g.var_factors(t.root)
-    ]
-    belief = _finalize_root(g, t.root, incoming)
+            msg[u] = _factor_message(reg, FACTORIZED, idx, parent[1], ids)
     return BoundResult(t.root, belief, "subtree", len(t.nodes), perf_counter() - start)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SawNode:
     """One walk in the self-avoiding-walk tree, identified by its endpoint.
 
@@ -310,29 +335,33 @@ def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
-    root_node = SawNode((VAR, root), "root", None)
+    if not 0 <= root < g.num_variables:
+        raise ValueError(f"root {root} is not a variable of the graph")
+    reg = _registry(g)
+    nbrs, node_of = reg.nbrs, reg.node_of
+    root_node = SawNode(node_of[root], "root", None)
     count = 1
-    queue: deque[tuple[SawNode, frozenset[Node], Node | None]] = deque(
-        [(root_node, frozenset([(VAR, root)]), None)]
-    )
+    # Each entry holds the walk's node set as a bitmask over bipartite ids.
+    queue: deque[tuple[SawNode, int, int, int]] = deque([(root_node, root, 1 << root, -1)])
     while queue:
-        node, on_walk, prev = queue.popleft()
-        extensions = [w for w in _neighbors(g, node.endpoint) if w != prev]
-        if not extensions:
-            if node is not root_node:
-                node.kind = "dead_end"
-            continue
-        for w in extensions:
+        node, u, on_walk, prev = queue.popleft()
+        children = node.children
+        for w in nbrs[u]:
+            if w == prev:
+                continue
             if count < max_nodes:
                 count += 1
-                if w in on_walk:
-                    node.children.append(SawNode(w, "cycle", node))
+                bit = 1 << w
+                if on_walk & bit:
+                    children.append(SawNode(node_of[w], "cycle", node))
                 else:
-                    child = SawNode(w, "inner", node)
-                    node.children.append(child)
-                    queue.append((child, on_walk | {w}, node.endpoint))
+                    child = SawNode(node_of[w], "inner", node)
+                    children.append(child)
+                    queue.append((child, w, on_walk | bit, u))
             else:
-                node.children.append(SawNode(w, "truncated", node))
+                children.append(SawNode(node_of[w], "truncated", node))
+        if not children and node is not root_node:
+            node.kind = "dead_end"
     return SawTree(root, root_node, count)
 
 
@@ -343,49 +372,27 @@ def saw_tree_from_subtree(g: FactorGraph, t: Subtree) -> SawTree:
     the subtree become ``truncated`` markers. On pairwise factor graphs,
     propagating boxes over this tree reproduces the subtree bound exactly.
     """
+    reg = _registry(g)
+    nbrs, node_of = reg.nbrs, reg.node_of
     root_node = SawNode((VAR, t.root), "root", None)
     count = 1
-    stack: list[tuple[SawNode, Node, Node | None]] = [(root_node, (VAR, t.root), None)]
+    stack: list[tuple[SawNode, int, int]] = [(root_node, t.root, -1)]
     while stack:
         snode, u, prev = stack.pop()
-        extensions = [w for w in _neighbors(g, u) if w != prev]
-        if not extensions:
-            if snode is not root_node:
-                snode.kind = "dead_end"
-            continue
-        tree_children = set(t.children[u])
-        for w in extensions:
-            if w in tree_children:
+        tree_children = t.children[node_of[u]]
+        for w in nbrs[u]:
+            if w == prev:
+                continue
+            if node_of[w] in tree_children:
                 count += 1
-                child = SawNode(w, "inner", snode)
+                child = SawNode(node_of[w], "inner", snode)
                 snode.children.append(child)
                 stack.append((child, w, u))
             else:
-                snode.children.append(SawNode(w, "truncated", snode))
+                snode.children.append(SawNode(node_of[w], "truncated", snode))
+        if not snode.children and snode is not root_node:
+            snode.kind = "dead_end"
     return SawTree(t.root, root_node, count)
-
-
-def _saw_message(g: FactorGraph, node: SawNode, msg: dict[int, MessageSet]) -> MessageSet:
-    kind_tag, idx = node.endpoint
-    if node.kind in ("cycle", "truncated"):
-        if kind_tag == VAR:
-            return Simplex(idx, g.domain_size(idx))
-        pvar = node.parent.endpoint[1]
-        return Simplex(pvar, g.domain_size(pvar))
-    if kind_tag == VAR:
-        boxes: list[Box] = []
-        for c in node.children:
-            m = msg[id(c)]
-            if isinstance(m, Simplex):
-                return Simplex(idx, g.domain_size(idx))
-            boxes.append(m)
-        if not boxes:
-            return unit_box(idx, g.domain_size(idx))
-        return box_product_same_scope(boxes)
-    # Factor endpoint: bound the sum-product through one joint box over the
-    # non-parent scope variables.
-    incoming = {c.endpoint[1]: msg[id(c)] for c in node.children}
-    return _factor_message(g, g.factors[idx], node.parent.endpoint[1], incoming, JOINT)
 
 
 def boxprop_sawtree(g: FactorGraph, t: SawTree) -> BoundResult:
@@ -395,18 +402,27 @@ def boxprop_sawtree(g: FactorGraph, t: SawTree) -> BoundResult:
     BP belief, whether or not the tree was truncated.
     """
     start = perf_counter()
-    order: list[SawNode] = []
-    stack = [t.root_node]
-    while stack:
-        n = stack.pop()
-        order.append(n)
-        stack.extend(n.children)
-    msg: dict[int, MessageSet] = {}
-    for n in reversed(order):
-        if n is t.root_node:
-            continue
-        msg[id(n)] = _saw_message(g, n, msg)
-    belief = _finalize_root(g, t.root, [msg[id(c)] for c in t.root_node.children])
+    reg = _registry(g)
+    # Breadth-first order: the children of order[i] are order[first[i]:first[i + 1]].
+    order = [t.root_node]
+    first = []
+    for n in order:
+        first.append(len(order))
+        order.extend(n.children)
+    first.append(len(order))
+    msg = [0] * len(order)
+    for i in range(len(order) - 1, 0, -1):
+        n = order[i]
+        kind_tag, idx = n.endpoint
+        if n.kind == "cycle" or n.kind == "truncated":
+            # A cut-off walk sends the simplex on the variable it reaches.
+            msg[i] = idx if kind_tag == VAR else n.parent.endpoint[1]
+        elif kind_tag == VAR:
+            msg[i] = _variable_message(reg, idx, tuple(msg[first[i] : first[i + 1]]))
+        else:
+            ids = tuple(msg[first[i] : first[i + 1]])
+            msg[i] = _factor_message(reg, JOINT, idx, n.parent.endpoint[1], ids)
+    belief = _finalize_root(reg, t.root, tuple(msg[first[0] : first[1]]))
     return BoundResult(t.root, belief, "sawtree", t.node_count, perf_counter() - start)
 
 

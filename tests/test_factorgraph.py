@@ -202,6 +202,13 @@ def test_factor_construction_errors():
         Factor(0, (), (), np.ones(1))  # empty scope
 
 
+def test_factor_rejects_a_negative_entry_beside_a_nan():
+    with pytest.raises(ValueError, match="negative"):
+        Factor(0, (0,), (3,), [np.nan, -1.0, 2.0])
+    # A NaN alone is left for validate to report as non-finite.
+    assert np.isnan(Factor(0, (0,), (3,), [np.nan, 1.0, 2.0]).table[0])
+
+
 def test_graph_construction_errors():
     f_ok = Factor(0, (0,), (2,), np.ones(2))
     with pytest.raises(ValueError):

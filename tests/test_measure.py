@@ -79,6 +79,11 @@ def test_multiply_domain_mismatch():
         multiply(m((0,), (2,), (1, 2)), m((0,), (3,), (1, 2, 3)))
 
 
+def test_measure_rejects_a_negative_entry_beside_a_nan():
+    with pytest.raises(ValueError, match="nonnegative"):
+        Measure((0,), (3,), [np.nan, -1.0, 2.0])
+
+
 def test_marginalize_out():
     psi = m((0, 1), (2, 2), (1, 2, 2, 1))
     assert np.array_equal(marginalize_out(psi, {1}).values, [3, 3])

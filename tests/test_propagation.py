@@ -2,6 +2,7 @@ import gc
 import sys
 import threading
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from boxprop.propagation import (
     build_subtree,
     exact_marginals,
     saw_tree_from_subtree,
-    _neighbors,
 )
 from boxprop.bench import GridSpec, gap, gen_ising_grid, run_method
 from helpers import (
@@ -112,11 +112,12 @@ def enumerate_saws(g, root):
         if len(set(walk)) != len(walk):
             return  # final node repeats: a cycle leaf, not extendable
         prev = walk[-2] if len(walk) > 1 else None
-        for w in _neighbors(g, walk[-1]):
+        for w in nbrs[walk[-1]]:
             if w != prev:
                 extend(walk + (w,))
 
-    extend(((VAR, root),))
+    nbrs = propagation._registry(g).nbrs
+    extend((root,))
     return walks
 
 
@@ -165,6 +166,16 @@ def test_saw_tree_budget_one():
     assert tree.node_count == 1
     assert tree.root_node.kind == "root"
     assert [c.kind for c in tree.root_node.children] == ["truncated", "truncated"]
+
+
+def test_builders_reject_a_root_outside_the_graph():
+    # Bipartite ids above the variables name factors, so an out-of-range root
+    # must fail rather than start a tree at a factor.
+    g = triangle_graph()
+    for build in (build_subtree, build_saw_tree):
+        for root in (-1, 3, 4):
+            with pytest.raises(ValueError, match="not a variable"):
+                build(g, root, 10)
 
 
 # ------------------------------------------------------ SAW-tree propagation
@@ -265,7 +276,15 @@ def test_bound_result_fields():
     assert res.box.lower.values.sum() <= 1.0 + 1e-12 <= res.box.upper.values.sum() + 2e-12
 
 
-# ----------------------------------------------------- factor-message memo
+# -------------------------------------------------------- message registry
+
+
+def test_walk_kinds_on_the_seed_42_grid():
+    g = gen_ising_grid(GridSpec(5, 5, 2, 1.0, 42))
+    tree = build_saw_tree(g, 12, 5000)
+    kinds = Counter(n.kind for n in saw_nodes(tree) if n is not tree.root_node)
+    assert kinds == {"inner": 3560, "dead_end": 1111, "cycle": 328, "truncated": 1090}
+    assert tree.node_count == 5000
 
 
 def root_bytes(g, method, root, budget):
@@ -279,7 +298,7 @@ def all_root_bytes(g, clear=False):
     for method, budget in (("sawtree", 400), ("subtree", 60)):
         for r in range(g.num_variables):
             if clear:
-                propagation._FACTOR_MESSAGES.clear()
+                propagation._REGISTRIES.clear()
             out.append(root_bytes(g, method, r, budget))
     return out
 
@@ -293,11 +312,23 @@ def fresh_copy(g):
     return graph_from([(f.scope, f.sizes, f.table) for f in g.factors])
 
 
+def assert_interning_is_one_to_one(reg):
+    """Every box id names one box, and its intern key is that box's bytes."""
+    n = reg.num_variables
+    assert sorted(reg.index.values()) == list(range(n, len(reg.sets)))
+    for (scope, lower, upper), i in reg.index.items():
+        box = reg.sets[i]
+        assert (box.scope, box.lower.values.tobytes(), box.upper.values.tobytes()) == (
+            scope, lower, upper,
+        )
+
+
 def test_memo_warm_equals_cold():
     rng = np.random.default_rng(21)
     for _ in range(12):
         g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=3)
         warm = all_root_bytes(g)
+        assert_interning_is_one_to_one(propagation._REGISTRIES[g])
         assert warm == all_root_bytes(fresh_copy(g), clear=True)
 
 
@@ -311,7 +342,9 @@ def test_memo_keys_on_the_factor_rule():
     ]
 
     def message(g, incoming, rule):
-        box = propagation._factor_message(g, g.factors[0], 0, incoming, rule)
+        reg = propagation._registry(g)
+        ids = tuple(reg.intern(incoming[v]) for v in (1, 2))
+        box = reg.sets[propagation._factor_message(reg, rule, 0, 0, ids)]
         return box.lower.values.tobytes() + box.upper.values.tobytes()
 
     # The two rules send different boxes from the three-variable factor, and a
@@ -322,6 +355,7 @@ def test_memo_keys_on_the_factor_rule():
     joint = message(g, narrow, JOINT)
     assert joint != message(g, narrow, FACTORIZED)
     assert message(g, wide, JOINT) == message(graph_from(tables), wide, JOINT) != joint
+    assert {key[0] for key in propagation._registry(g).factor_memo} == {JOINT, FACTORIZED}
     # Sawtree and then subtree on one graph object match fresh copies.
     g = graph_from(tables)
     for method in ("sawtree", "subtree"):
@@ -331,40 +365,70 @@ def test_memo_keys_on_the_factor_rule():
                 assert root_bytes(g, method, r, budget) == root_bytes(fresh, method, r, budget)
 
 
+def counting(monkeypatch, name):
+    """Replace a kernel in ``propagation`` by a wrapper that counts its calls."""
+    calls = [0]
+    kernel = getattr(propagation, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(propagation, name, wrapper)
+    return calls
+
+
 def test_memo_misses_are_the_distinct_messages(monkeypatch):
     # On this grid the 25 walk trees ask for 86,903 factor messages, of which
     # 3,369 are distinct; only those reach the kernel.
-    calls = 0
-    kernel = propagation.bound_sum_product_joint
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return kernel(*args)
-
-    monkeypatch.setattr(propagation, "bound_sum_product_joint", counting)
+    calls = counting(monkeypatch, "bound_sum_product_joint")
     g = gen_ising_grid(GridSpec(5, 5, 2, 1.0, 42))
     for r in range(g.num_variables):
         boxprop_sawtree(g, build_saw_tree(g, r, 5000))
-    assert calls == 3_369
+    assert calls[0] == 3_369
+
+
+def test_variable_memo_multiplies_each_distinct_product_once(monkeypatch):
+    rng = np.random.default_rng(25)
+    g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=3)
+    calls = counting(monkeypatch, "box_product_same_scope")
+    n_roots = 2 * g.num_variables
+    all_root_bytes(g)
+    # One call per root (the final belief) plus one per variable-memo entry
+    # that multiplies children; a second round is all hits.
+    reg = propagation._registry(g)
+    products = sum(1 for key in reg.var_memo if len(key) > 1)
+    assert products > 0
+    assert calls[0] == n_roots + products
+    all_root_bytes(g)
+    assert calls[0] == 2 * n_roots + products
 
 
 def test_memo_dies_with_the_graph_and_respects_the_cap(monkeypatch):
     rng = np.random.default_rng(23)
     g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=3)
     uncapped = all_root_bytes(fresh_copy(g))
-    monkeypatch.setattr(propagation, "MESSAGE_MEMO_CAP", 2)
+    monkeypatch.setattr(propagation, "MESSAGE_MEMO_CAP", 1)
+    bound = g.num_variables + g.num_factors
     gc.collect()
-    before = len(propagation._FACTOR_MESSAGES)
-    assert all_root_bytes(g) == uncapped
-    sizes = [len(propagation._FACTOR_MESSAGES[f]) for f in g.factors]
-    assert max(sizes) == 2
-    assert len(propagation._FACTOR_MESSAGES) == before + g.num_factors
-    refs = [weakref.ref(f) for f in g.factors]
+    before = len(propagation._REGISTRIES)
+    # A root that starts on a registry past the bound swaps in a fresh one.
+    out, swaps = [], 0
+    for method, budget in (("sawtree", 400), ("subtree", 60)):
+        for r in range(g.num_variables):
+            reg = propagation._REGISTRIES.get(g)
+            full = reg is not None and len(reg.var_memo) + len(reg.factor_memo) > bound
+            out.append(root_bytes(g, method, r, budget))
+            assert (propagation._REGISTRIES[g] is not reg) == (reg is None or full)
+            swaps += full
+    assert out == uncapped
+    assert swaps > 0
+    assert len(propagation._REGISTRIES) == before + 1
+    ref = weakref.ref(propagation._registry(g))
     del g
     gc.collect()
-    assert all(r() is None for r in refs)
-    assert len(propagation._FACTOR_MESSAGES) == before
+    assert ref() is None
+    assert len(propagation._REGISTRIES) == before
 
 
 def test_memo_shared_by_concurrent_roots(monkeypatch):
@@ -389,7 +453,7 @@ def test_memo_shared_by_concurrent_roots(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected] * 4
-    assert max(len(propagation._FACTOR_MESSAGES[f]) for f in g.factors) == 3
+    assert_interning_is_one_to_one(propagation._REGISTRIES[g])
 
 
 # ------------------------------------------------------------------ BP
