@@ -17,6 +17,7 @@ from time import perf_counter
 import click
 
 from .bench import (
+    METHODS,
     GridSpec,
     compare,
     detail_lines,
@@ -32,6 +33,7 @@ from .propagation import bp_marginals, exact_marginals
 from .bench import run_method
 
 DEFAULT_MAX_NODES = 5000
+NODE_BUDGET = click.IntRange(min=1)
 DEFAULT_BP_TOL = 1e-9
 DEFAULT_BP_MAX_ITER = 10_000
 DEFAULT_BP_DAMPING = 0.0
@@ -119,7 +121,7 @@ def _validated_graph(in_path):
 @click.option("--method", type=click.Choice(["subtree", "sawtree"]), required=True)
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True)
 @click.option("--root", type=int, default=None, help="Single root variable; default all.")
-@click.option("--max-nodes", type=int, default=DEFAULT_MAX_NODES, show_default=True)
+@click.option("--max-nodes", type=NODE_BUDGET, default=DEFAULT_MAX_NODES, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def bound_cmd(method, in_path, root, max_nodes, out_path):
     """Per-variable bound boxes as JSON lines (time_ms: tree build plus propagation)."""
@@ -189,10 +191,18 @@ def exact_cmd(in_path, engine, out_path):
     return 0
 
 
+def _method_list(ctx, param, value: str) -> list[str]:
+    """Split ``--methods``; an unknown, empty or repeated entry is a usage error."""
+    names = value.split(",")
+    if not set(names) <= set(METHODS) or len(set(names)) < len(names):
+        raise click.BadParameter(f"want distinct names from {', '.join(METHODS)}, got {value!r}")
+    return names
+
+
 @cli.command("compare")
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True)
-@click.option("--methods", default="subtree,sawtree", show_default=True)
-@click.option("--max-nodes", type=int, default=DEFAULT_MAX_NODES, show_default=True)
+@click.option("--methods", default="subtree,sawtree", show_default=True, callback=_method_list)
+@click.option("--max-nodes", type=NODE_BUDGET, default=DEFAULT_MAX_NODES, show_default=True)
 @click.option("--bp/--no-bp", "run_bp", default=False, show_default=True)
 @click.option("--summary-out", type=click.Path(), default=None)
 @click.option("--details-out", type=click.Path(), default=None)
@@ -200,18 +210,12 @@ def exact_cmd(in_path, engine, out_path):
 def compare_cmd(in_path, methods, max_nodes, run_bp, summary_out, details_out, profiles_out):
     """Gap/time comparison of bound methods over every variable."""
     _banner(
-        "compare", methods=methods, max_nodes=max_nodes, bp=run_bp,
+        "compare", methods=",".join(methods), max_nodes=max_nodes, bp=run_bp,
         **{"in": in_path, "summary_out": summary_out, "details_out": details_out,
            "profiles_out": profiles_out},
     )
-    method_list = [m for m in methods.split(",") if m]
     g = _validated_graph(in_path)
-    result = compare(
-        g,
-        method_list,
-        {m: max_nodes for m in method_list},
-        run_bp=run_bp,
-    )
+    result = compare(g, methods, {m: max_nodes for m in methods}, run_bp=run_bp)
     _check_records(result.detail_records)
     _emit(summary_csv(result.gap_records), summary_out)
     if details_out:
@@ -241,9 +245,6 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
         rv = cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

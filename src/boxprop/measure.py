@@ -15,7 +15,10 @@ messages per graph, keyed on interned ids that each stand for one box's exact
 bytes (at most ``MESSAGE_MEMO_CAP`` entries per graph node before a fresh
 memo is started), so a memo hit is bit-identical to a recomputation. The
 only state kept here is the per-factor cache of summed-out table matrices,
-which likewise dies with its factor.
+which likewise dies with its factor, and the read-only corner-selection bit
+table per number of free states (at most 20, one per count the cap allows;
+the table for ``f`` free states is ``2**f * f`` bytes, at most 1/8 of the
+corner matrix built from it).
 
 Extreme-point enumeration is exponential in the number of free states, so
 every enumerating operation is capped at ``ENUMERATION_CAP`` combinations and
@@ -25,6 +28,7 @@ raises :class:`CapacityExceededError` beyond that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 from typing import Iterable, Mapping, Sequence, Union
 from weakref import WeakKeyDictionary
@@ -239,26 +243,38 @@ def delta_measures(var: int, domain_size: int) -> list[Measure]:
     return [Measure((var,), (domain_size,), eye[s]) for s in range(domain_size)]
 
 
+@cache
+def _corner_table(n: int) -> np.ndarray:
+    """Read-only ``(2**n, n)`` bool table: row ``c`` has ``True`` at bit ``k`` of ``c``."""
+    table = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    table.flags.writeable = False
+    return table
+
+
 def box_corner_matrix(box: Box) -> np.ndarray:
-    """All corners of a box as rows of an ``(n_corners, n_states)`` matrix.
+    """All corners of a box as rows of a fresh ``(n_corners, n_states)`` matrix.
 
     States where lower equals upper do not branch, so the corner count is
-    ``2**f`` with ``f`` the number of free states. Capped at ENUMERATION_CAP.
+    ``2**f`` with ``f`` the number of free states. Corner ``c`` is upper at the
+    ``k``-th free state where bit ``k`` of ``c`` is set, read from a bit table
+    cached per ``f``; ENUMERATION_CAP allows ``f <= 20``, and a table's
+    ``2**f * f`` bytes are at most 1/8 of the float matrix returned with it.
     """
     lower = box.lower.values
     upper = box.upper.values
     free = np.flatnonzero(upper > lower)
     n = int(free.size)
     if n == 0:
-        return lower.reshape(1, -1)
+        return lower.reshape(1, -1).copy()
     if 1 << n > ENUMERATION_CAP:
         raise CapacityExceededError(
             f"box has {n} free states; 2**{n} corners exceed the cap of {ENUMERATION_CAP}"
         )
-    count = 1 << n
-    corners = np.broadcast_to(lower, (count, lower.size)).copy()
-    bits = (np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1
-    corners[:, free] = np.where(bits.astype(bool), upper[free], lower[free])
+    table = _corner_table(n)
+    if n == lower.size:
+        return np.where(table, upper, lower)
+    corners = np.repeat(lower[None, :], 1 << n, axis=0)
+    corners[:, free] = np.where(table, upper[free], lower[free])
     return corners
 
 

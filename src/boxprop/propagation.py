@@ -10,14 +10,23 @@ contain any converged loopy BP belief for the root.
 Loopy BP and two exact-inference engines (brute-force enumeration and variable
 elimination) are included as oracles for checking those containment claims.
 
-Both methods run one message step on small ints: each id indexes a per-graph
-intern table of message sets (below ``num_variables`` the simplices, above
-them boxes keyed by scope and exact bytes). A variable memo keyed on the
-variable and its children's ids, and a factor memo keyed on the rule, factor,
-parent variable and children's ids, make a repeated local neighbourhood cost
-one tuple and one dict lookup; walk trees repeat neighbourhoods many times. A
-key fixes its inputs' bytes and order and the kernels are deterministic, so
-every bound is bit-identical to an unmemoized run.
+Both methods are one engine, a method being a pair of a walk-tree builder and
+a factor rule. A :class:`SawTree` is flat: int lists of endpoints, parent
+endpoints, kind codes and child-range starts in breadth-first order, so one
+reverse loop over them sends every message. The walk-tree method propagates
+:func:`build_saw_tree`'s tree with the joint rule; the subtree method
+propagates :func:`saw_tree_from_subtree`'s with the factorized rule. The
+linked :class:`SawNode` view (``SawTree.root_node``) is built only on first
+access, for inspection; the engine never reads it.
+
+Messages are small ints: each id indexes a per-graph intern table of message
+sets (below ``num_variables`` the simplices, above them boxes keyed by scope
+and exact bytes). A variable memo keyed on the variable and its children's
+ids, and a factor memo keyed on the rule, factor, parent variable and
+children's ids, make a repeated local neighbourhood cost one tuple and one
+dict lookup; walk trees repeat neighbourhoods many times. A key fixes its
+inputs' bytes and order and the kernels are deterministic, so every bound is
+bit-identical to an unmemoized run.
 
 The registry holding the table, both memos and the cached adjacency is held
 weakly by graph, made on the first root, and dies with the graph. A root that
@@ -32,6 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 from threading import Lock
 from time import perf_counter
@@ -258,42 +268,9 @@ def _finalize_root(reg: _Registry, root: int, ids: tuple[int, ...]) -> Box:
     return normalized_corner_box(box_product_same_scope([reg.sets[i] for i in ids]))
 
 
-def boxprop_subtree(g: FactorGraph, t: Subtree) -> BoundResult:
-    """Leaf-to-root box propagation over a subtree of the factor graph.
-
-    The returned box contains the exact marginal of the root variable and any
-    converged loopy BP belief for it, whatever the subtree choice. A graph
-    edge missing from the subtree sends a whole simplex, as a truncated walk
-    does.
-    """
-    start = perf_counter()
-    reg = _registry(g)
-    nbrs, node_of, n = reg.nbrs, reg.node_of, reg.num_variables
-    root_node: Node = (VAR, t.root)
-    order: list[Node] = []
-    stack = [root_node]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(t.children[u])
-    msg: dict[Node, int] = {}
-    for u in reversed(order):
-        kind, idx = u
-        kids = t.children[u]
-        parent = t.parent.get(u)
-        # A neighbour that is not a child sends the simplex on the edge's variable.
-        ids = tuple(
-            msg[w] if w in kids else (idx if kind == VAR else w[1])
-            for w in (node_of[i] for i in nbrs[idx if kind == VAR else n + idx])
-            if w != parent
-        )
-        if u == root_node:
-            belief = _finalize_root(reg, t.root, ids)
-        elif kind == VAR:
-            msg[u] = _variable_message(reg, idx, ids)
-        else:
-            msg[u] = _factor_message(reg, FACTORIZED, idx, parent[1], ids)
-    return BoundResult(t.root, belief, "subtree", len(t.nodes), perf_counter() - start)
+# ``SawTree.kind`` codes index ``_KINDS``; from ``_CYCLE`` up a walk is cut off.
+_KINDS = ("root", "inner", "dead_end", "cycle", "truncated")
+_ROOT, _INNER, _DEAD_END, _CYCLE, _TRUNCATED = range(len(_KINDS))
 
 
 @dataclass(eq=False, slots=True)
@@ -313,15 +290,61 @@ class SawNode:
 
 @dataclass(eq=False)
 class SawTree:
-    """Tree of self-avoiding walks from a root variable.
+    """Tree of self-avoiding walks from a root variable, flat in breadth-first order.
 
-    ``node_count`` counts expanded walk nodes; ``truncated`` markers hang off
-    the frontier once the budget is reached and are not counted against it.
+    Walk ``i`` ends at bipartite node ``end[i]`` (variable ``v`` is ``v``,
+    factor ``fid`` is ``num_variables + fid``); ``prev[i]`` is the endpoint of
+    its parent walk (-1 for the root, walk 0); ``kind[i]`` indexes ``("root",
+    "inner", "dead_end", "cycle", "truncated")``; and its children are the
+    walks ``first[i]:first[i + 1]``, in ascending endpoint order. ``node_count``
+    counts expanded walk nodes; ``truncated`` markers hang off the frontier
+    once the budget is reached and are not counted against it.
     """
 
     root: int
-    root_node: SawNode
     node_count: int
+    num_variables: int
+    end: list[int]
+    prev: list[int]
+    kind: list[int]
+    first: list[int]
+
+    @cached_property
+    def root_node(self) -> SawNode:
+        """The tree as linked :class:`SawNode` objects, built on first access."""
+        n, first = self.num_variables, self.first
+        nodes = [
+            SawNode((VAR, u) if u < n else (FAC, u - n), _KINDS[k], None)
+            for u, k in zip(self.end, self.kind)
+        ]
+        for i, node in enumerate(nodes):
+            node.children = nodes[first[i] : first[i + 1]]
+            for child in node.children:
+                child.parent = node
+        return nodes[0]
+
+
+def _propagate(reg: _Registry, t: SawTree, rule: str) -> Box:
+    """One leaf-to-root pass over a walk tree; factor nodes apply ``rule``.
+
+    Walks are visited in reverse breadth-first order, so every child's message
+    id is known before its parent's. A cut-off walk sends the simplex on the
+    variable it reaches: its endpoint, or its parent's when it ends at a factor.
+    """
+    n = reg.num_variables
+    end, prev, kind, first = t.end, t.prev, t.kind, t.first
+    msg = [0] * len(end)
+    for i in range(len(end) - 1, 0, -1):
+        u = end[i]
+        if kind[i] >= _CYCLE:
+            msg[i] = u if u < n else prev[i]
+            continue
+        ids = tuple(msg[first[i] : first[i + 1]])
+        if u < n:
+            msg[i] = _variable_message(reg, u, ids)
+        else:
+            msg[i] = _factor_message(reg, rule, u - n, prev[i], ids)
+    return _finalize_root(reg, t.root, tuple(msg[first[0] : first[1]]))
 
 
 def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
@@ -331,68 +354,83 @@ def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     came from (children in ascending id order). An extension whose endpoint
     already lies on the walk becomes a ``cycle`` leaf and is not expanded.
     Once ``max_nodes`` walks exist, further extensions become ``truncated``
-    markers, which later propagate the loosest possible message.
+    markers, which later propagate the loosest possible message. The tree's
+    lists are the queue: walks are expanded in the order they were appended.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
     if not 0 <= root < g.num_variables:
         raise ValueError(f"root {root} is not a variable of the graph")
-    reg = _registry(g)
-    nbrs, node_of = reg.nbrs, reg.node_of
-    root_node = SawNode(node_of[root], "root", None)
+    nbrs = _registry(g).nbrs
+    end, prev, kind, first = [root], [-1], [_ROOT], []
+    # Each walk's node set as a bitmask over bipartite ids.
+    on_walk = [1 << root]
     count = 1
-    # Each entry holds the walk's node set as a bitmask over bipartite ids.
-    queue: deque[tuple[SawNode, int, int, int]] = deque([(root_node, root, 1 << root, -1)])
-    while queue:
-        node, u, on_walk, prev = queue.popleft()
-        children = node.children
+    for i, u in enumerate(end):
+        start = len(end)
+        first.append(start)
+        if kind[i] > _INNER:
+            continue
+        p, mask = prev[i], on_walk[i]
         for w in nbrs[u]:
-            if w == prev:
+            if w == p:
                 continue
+            end.append(w)
+            prev.append(u)
+            on_walk.append(mask | 1 << w)
             if count < max_nodes:
                 count += 1
-                bit = 1 << w
-                if on_walk & bit:
-                    children.append(SawNode(node_of[w], "cycle", node))
-                else:
-                    child = SawNode(node_of[w], "inner", node)
-                    children.append(child)
-                    queue.append((child, w, on_walk | bit, u))
+                kind.append(_CYCLE if mask >> w & 1 else _INNER)
             else:
-                children.append(SawNode(node_of[w], "truncated", node))
-        if not children and node is not root_node:
-            node.kind = "dead_end"
-    return SawTree(root, root_node, count)
+                kind.append(_TRUNCATED)
+        if i and len(end) == start:
+            kind[i] = _DEAD_END
+    first.append(len(end))
+    return SawTree(root, count, g.num_variables, end, prev, kind, first)
 
 
 def saw_tree_from_subtree(g: FactorGraph, t: Subtree) -> SawTree:
-    """Restrict the self-avoiding-walk tree to the walks present in a subtree.
+    """The walk tree over which the subtree bound is computed.
 
     Every subtree node becomes the walk leading to it; extensions that leave
-    the subtree become ``truncated`` markers. On pairwise factor graphs,
-    propagating boxes over this tree reproduces the subtree bound exactly.
+    the subtree become ``truncated`` markers, so they send a simplex. Children
+    keep the subtree's neighbour order. :func:`boxprop_subtree` propagates over
+    this tree with the factorized rule; on pairwise factor graphs the joint
+    rule of :func:`boxprop_sawtree` gives the same box over it.
     """
     reg = _registry(g)
     nbrs, node_of = reg.nbrs, reg.node_of
-    root_node = SawNode((VAR, t.root), "root", None)
-    count = 1
-    stack: list[tuple[SawNode, int, int]] = [(root_node, t.root, -1)]
-    while stack:
-        snode, u, prev = stack.pop()
-        tree_children = t.children[node_of[u]]
+    end, prev, kind, first = [t.root], [-1], [_ROOT], []
+    for i, u in enumerate(end):
+        start = len(end)
+        first.append(start)
+        if kind[i] == _TRUNCATED:
+            continue
+        p, tree_children = prev[i], t.children[node_of[u]]
         for w in nbrs[u]:
-            if w == prev:
+            if w == p:
                 continue
-            if node_of[w] in tree_children:
-                count += 1
-                child = SawNode(node_of[w], "inner", snode)
-                snode.children.append(child)
-                stack.append((child, w, u))
-            else:
-                snode.children.append(SawNode(node_of[w], "truncated", snode))
-        if not snode.children and snode is not root_node:
-            snode.kind = "dead_end"
-    return SawTree(t.root, root_node, count)
+            end.append(w)
+            prev.append(u)
+            kind.append(_INNER if node_of[w] in tree_children else _TRUNCATED)
+        if i and len(end) == start:
+            kind[i] = _DEAD_END
+    first.append(len(end))
+    return SawTree(t.root, len(t.nodes), g.num_variables, end, prev, kind, first)
+
+
+def boxprop_subtree(g: FactorGraph, t: Subtree) -> BoundResult:
+    """Leaf-to-root box propagation over a subtree of the factor graph.
+
+    The returned box contains the exact marginal of the root variable and any
+    converged loopy BP belief for it, whatever the subtree choice. The pass
+    runs over :func:`saw_tree_from_subtree`'s walk tree with the factorized
+    rule, so a graph edge missing from the subtree sends a whole simplex, as a
+    truncated walk does.
+    """
+    start = perf_counter()
+    belief = _propagate(_registry(g), saw_tree_from_subtree(g, t), FACTORIZED)
+    return BoundResult(t.root, belief, "subtree", len(t.nodes), perf_counter() - start)
 
 
 def boxprop_sawtree(g: FactorGraph, t: SawTree) -> BoundResult:
@@ -402,27 +440,7 @@ def boxprop_sawtree(g: FactorGraph, t: SawTree) -> BoundResult:
     BP belief, whether or not the tree was truncated.
     """
     start = perf_counter()
-    reg = _registry(g)
-    # Breadth-first order: the children of order[i] are order[first[i]:first[i + 1]].
-    order = [t.root_node]
-    first = []
-    for n in order:
-        first.append(len(order))
-        order.extend(n.children)
-    first.append(len(order))
-    msg = [0] * len(order)
-    for i in range(len(order) - 1, 0, -1):
-        n = order[i]
-        kind_tag, idx = n.endpoint
-        if n.kind == "cycle" or n.kind == "truncated":
-            # A cut-off walk sends the simplex on the variable it reaches.
-            msg[i] = idx if kind_tag == VAR else n.parent.endpoint[1]
-        elif kind_tag == VAR:
-            msg[i] = _variable_message(reg, idx, tuple(msg[first[i] : first[i + 1]]))
-        else:
-            ids = tuple(msg[first[i] : first[i + 1]])
-            msg[i] = _factor_message(reg, JOINT, idx, n.parent.endpoint[1], ids)
-    belief = _finalize_root(reg, t.root, tuple(msg[first[0] : first[1]]))
+    belief = _propagate(_registry(g), t, JOINT)
     return BoundResult(t.root, belief, "sawtree", t.node_count, perf_counter() - start)
 
 

@@ -171,6 +171,29 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     assert code == 1  # unreadable path is a usage-level failure
 
 
+def graph_never_read(path):
+    raise AssertionError("the graph was read before the options were checked")
+
+
+@pytest.mark.parametrize("command", [("bound", "--method", "subtree"), ("compare",)])
+def test_max_nodes_below_one_is_a_usage_error(triangle_file, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli_module, "_load_graph", graph_never_read)
+    code, out, err = run(capsys, *command, "--in", triangle_file, "--max-nodes", "0")
+    assert code == 1 and out == ""
+    assert "--max-nodes" in err
+
+
+@pytest.mark.parametrize("methods", ["subtree,bogus", ",", "subtree,subtree"])
+def test_compare_refuses_a_bad_method_list_before_any_work(
+    triangle_file, capsys, monkeypatch, methods
+):
+    # An unknown, empty or repeated entry is refused while parsing.
+    monkeypatch.setattr(cli_module, "_load_graph", graph_never_read)
+    code, out, err = run(capsys, "compare", "--in", triangle_file, "--methods", methods)
+    assert code == 1 and out == ""
+    assert "--methods" in err
+
+
 def test_malformed_file_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.fg"
     path.write_text("not a number\n")

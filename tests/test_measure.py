@@ -203,6 +203,39 @@ def test_extreme_points_capacity_cap():
         extreme_points(b)
 
 
+def corners_by_bit_formula(b):
+    """Corner c takes upper at the k-th free state iff bit k of c is set."""
+    lower, upper = b.lower.values, b.upper.values
+    free = [k for k in range(lower.size) if upper[k] > lower[k]]
+    rows = []
+    for c in range(1 << len(free)):
+        row = lower.copy()
+        for bit, k in enumerate(free):
+            if c >> bit & 1:
+                row[k] = upper[k]
+        rows.append(row)
+    return np.array(rows)
+
+
+def test_box_corner_matrix_matches_the_bit_formula():
+    lower = [0.1, 0.25, 0.3, 0.05]
+    cases = [
+        box((0,), (4,), lower, lower),  # no free state
+        box((0,), (4,), lower, [0.1, 0.5, 0.3, 0.9]),  # states 1 and 3 free
+        box((0,), (4,), lower, [0.2, 0.5, 0.7, 0.9]),  # every state free
+        box((0, 1), (2, 3), [0.1] * 6, [0.1, 0.4, 0.1, 0.4, 0.4, 0.1]),
+    ]
+    for b in cases:
+        bounds = b.lower.values.tobytes() + b.upper.values.tobytes()
+        expected = corners_by_bit_formula(b)
+        got = box_corner_matrix(b)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        # The result is the caller's own: writing into it changes no later result.
+        got[...] = -1.0
+        assert box_corner_matrix(b).tobytes() == expected.tobytes()
+        assert b.lower.values.tobytes() + b.upper.values.tobytes() == bounds
+
+
 def test_smallest_bounding_box_golden():
     pts = [m((0,), (2,), v) for v in ((0.2, 0.8), (0.8, 0.2), (0.5, 0.5))]
     b = smallest_bounding_box(pts)

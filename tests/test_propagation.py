@@ -178,6 +178,37 @@ def test_builders_reject_a_root_outside_the_graph():
                 build(g, root, 10)
 
 
+def check_flat_layout(g, tree):
+    """Invariants of a flat walk tree, and the round trip through its node view."""
+    n, end, prev, kind, first = g.num_variables, tree.end, tree.prev, tree.kind, tree.first
+    kinds = [propagation._KINDS[k] for k in kind]
+    assert len(prev) == len(kind) == len(end) == len(first) - 1
+    assert (end[0], prev[0], kinds[0]) == (tree.root, -1, "root")
+    assert first[0] == 1 and first[-1] == len(end)
+    assert all(a <= b for a, b in zip(first, first[1:]))
+    for i in range(len(end)):
+        assert all(prev[j] == end[i] for j in range(first[i], first[i + 1]))
+    assert tree.node_count == sum(1 for k in kinds if k != "truncated")
+    view = tree.root_node
+    assert tree.root_node is view
+    nodes = [view]  # the view in breadth-first order
+    for node in nodes:
+        assert all(child.parent is node for child in node.children)
+        nodes.extend(node.children)
+    endpoints = [(VAR, u) if u < n else (FAC, u - n) for u in end]
+    assert [(x.endpoint, x.kind) for x in nodes] == list(zip(endpoints, kinds))
+
+
+def test_flat_layout_of_both_builders():
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=3)
+        for root in range(g.num_variables):
+            for budget in (1, 4, 25, 100_000):
+                check_flat_layout(g, build_saw_tree(g, root, budget))
+                check_flat_layout(g, saw_tree_from_subtree(g, build_subtree(g, root, budget)))
+
+
 # ------------------------------------------------------ SAW-tree propagation
 
 
