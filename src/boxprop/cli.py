@@ -9,6 +9,7 @@ Output files are written atomically (write to a temp file, then rename).
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -152,11 +153,23 @@ def bound_cmd(method, in_path, root, max_nodes, out_path):
     return 0
 
 
+def _positive_finite(ctx, param, value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise click.BadParameter(f"want a positive finite number, got {value!r}")
+    return value
+
+
+def _damping(ctx, param, value: float) -> float:
+    if not 0.0 <= value < 1.0:
+        raise click.BadParameter(f"want a number in [0, 1), got {value!r}")
+    return value
+
+
 @cli.command("bp")
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True)
-@click.option("--tol", type=float, default=DEFAULT_BP_TOL, show_default=True)
-@click.option("--max-iter", type=int, default=DEFAULT_BP_MAX_ITER, show_default=True)
-@click.option("--damping", type=float, default=DEFAULT_BP_DAMPING, show_default=True)
+@click.option("--tol", type=float, default=DEFAULT_BP_TOL, show_default=True, callback=_positive_finite)
+@click.option("--max-iter", type=click.IntRange(min=1), default=DEFAULT_BP_MAX_ITER, show_default=True)
+@click.option("--damping", type=float, default=DEFAULT_BP_DAMPING, show_default=True, callback=_damping)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def bp_cmd(in_path, tol, max_iter, damping, out_path):
     """Loopy belief propagation beliefs as JSON lines."""
@@ -215,7 +228,11 @@ def compare_cmd(in_path, methods, max_nodes, run_bp, summary_out, details_out, p
            "profiles_out": profiles_out},
     )
     g = _validated_graph(in_path)
-    result = compare(g, methods, {m: max_nodes for m in methods}, run_bp=run_bp)
+    # Only the BP error rows read the exact marginals.
+    result = compare(
+        g, methods, {m: max_nodes for m in methods}, run_bp=run_bp,
+        exact_engine="varelim" if run_bp else None,
+    )
     _check_records(result.detail_records)
     _emit(summary_csv(result.gap_records), summary_out)
     if details_out:

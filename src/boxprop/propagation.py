@@ -9,6 +9,13 @@ contain any converged loopy BP belief for the root.
 
 Loopy BP and two exact-inference engines (brute-force enumeration and variable
 elimination) are included as oracles for checking those containment claims.
+Both reuse work and return the same bytes as a plain loop would. Variable
+elimination shares bucket eliminations between query variables through a memo
+local to one call, keyed on the bucket's variable and the identity of its
+tables, storing only buckets free of the query variable (at most one per
+variable). BP holds its messages in one ``(edges, d)`` array per domain size
+and direction and repeats a per-edge loop's arithmetic in the same order. See
+:func:`exact_marginals` and :func:`bp_marginals`.
 
 Both methods are one engine, a method being a pair of a walk-tree builder and
 a factor rule. A :class:`SawTree` is flat: int lists of endpoints, parent
@@ -42,7 +49,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
+from math import inf, prod
 from threading import Lock
 from time import perf_counter
 from weakref import WeakKeyDictionary
@@ -464,64 +471,111 @@ def bp_marginals(
     the largest componentwise message change in a sweep drops below ``tol``.
     Non-convergence within ``max_iter`` sweeps is reported, not raised.
     Requires a graph that passes validation (positivity keeps messages
-    strictly positive, so normalization never divides by zero).
+    strictly positive, so normalization never divides by zero), ``max_iter
+    >= 1`` and a positive, finite ``tol``.
+
+    Messages live in one ``(edges, d)`` array per domain size ``d`` and
+    direction, one row per factor-variable edge; the edge ``(fid, v)`` has the
+    same row in both directions. Each sweep does the arithmetic of a plain
+    per-edge loop (``np.tensordot`` contractions, 1-D sums and products) on
+    the same operands in the same order, so every belief, ``iterations`` and
+    ``residual`` equals that loop's bit for bit:
+
+    - factor to variable: the first contraction is the ``np.dot`` that
+      ``np.tensordot`` makes, on the table matrix it would build (made once
+      per edge), later ones (arity 3 and up) are ``np.tensordot``; a unary
+      factor's row is its table, normalized like the others;
+    - normalization divides by ``x.sum(axis=1)``, the same pairwise sum per
+      row as a 1-D ``sum``;
+    - variable to factor (and the final beliefs) multiply gathered rows in
+      ``var_factors`` order, padded with a row of ones (``x * 1.0 == x``);
+    - damping and the residual, a max of absolute differences, are array
+      operations; a max is exact in any order.
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must lie in [0, 1)")
-    d = [g.domain_size(i) for i in range(g.num_variables)]
-    nds = [f.table_nd() for f in g.factors]
-    v2f: dict[tuple[int, int], np.ndarray] = {}
-    f2v: dict[tuple[int, int], np.ndarray] = {}
+    if not max_iter >= 1:
+        raise ValueError("max_iter must be >= 1")
+    if not 0.0 < tol < inf:
+        raise ValueError("tol must be positive and finite")
+    size = [g.domain_size(v) for v in range(g.num_variables)]
+    edges: dict[int, list[tuple[int, int]]] = {}
     for f in g.factors:
         for v in f.scope:
-            v2f[(v, f.id)] = np.full(d[v], 1.0 / d[v])
-            f2v[(f.id, v)] = np.full(d[v], 1.0 / d[v])
+            edges.setdefault(size[v], []).append((f.id, v))
+    # An edge's row within its domain's arrays, and its number over all domains.
+    slot = {e: r for es in edges.values() for r, e in enumerate(es)}
+    number = {e: k for k, e in enumerate(e for es in edges.values() for e in es)}
+    raw = {d: np.empty((len(es), d)) for d, es in edges.items()}
+    contract: dict[int, list[tuple]] = {d: [] for d in edges}
+    for f in g.factors:
+        nd, k = f.table_nd(), len(f.scope)
+        src = [number[(f.id, u)] for u in f.scope]
+        for pos, v in enumerate(f.scope):
+            d, row = size[v], slot[(f.id, v)]
+            if k == 1:
+                raw[d][row] = nd
+                continue
+            q0, *later = [q for q in range(k - 1, -1, -1) if q != pos]
+            axes = [a for a in range(k) if a != q0]
+            shape = tuple(nd.shape[a] for a in axes)
+            mat = nd.transpose(axes + [q0]).reshape((prod(shape), nd.shape[q0]))
+            contract[d].append((row, mat, shape, src[q0], [(q, src[q]) for q in later]))
+    gather = {
+        d: _padded([[slot[(o, v)] for o in g.var_factors(v) if o != fid] for fid, v in es], len(es))
+        for d, es in edges.items()
+    }
+    f2v = {d: np.full((len(es), d), 1.0 / d) for d, es in edges.items()}
+    v2f = {d: x.copy() for d, x in f2v.items()}
     converged = False
-    iterations = 0
-    residual = float("inf")
     for iterations in range(1, max_iter + 1):
-        new_f2v: dict[tuple[int, int], np.ndarray] = {}
-        for f in g.factors:
-            nd = nds[f.id]
-            k = len(f.scope)
-            for pos, v in enumerate(f.scope):
-                cur = nd
-                for qpos in range(k - 1, -1, -1):
-                    if qpos != pos:
-                        cur = np.tensordot(
-                            cur, v2f[(f.scope[qpos], f.id)], axes=([qpos], [0])
-                        )
-                new_f2v[(f.id, v)] = cur / cur.sum()
-        new_v2f: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(g.num_variables):
-            fids = g.var_factors(i)
-            for fid in fids:
-                p = np.ones(d[i])
-                for other in fids:
-                    if other != fid:
-                        p = p * f2v[(other, i)]
-                new_v2f[(i, fid)] = p / p.sum()
+        rows = [r for x in v2f.values() for r in x]
+        for d, plan in contract.items():
+            out = raw[d]
+            for row, mat, shape, s0, later in plan:
+                cur = np.dot(mat, rows[s0].reshape((-1, 1))).reshape(shape)
+                for q, s in later:
+                    cur = np.tensordot(cur, rows[s], axes=([q], [0]))
+                out[row] = cur
+        new_f2v = {d: x / x.sum(axis=1, keepdims=True) for d, x in raw.items()}
+        new_v2f = {d: _gathered_products(f2v[d], gather[d]) for d in edges}
         if damping:
-            for key, val in new_f2v.items():
-                new_f2v[key] = damping * f2v[key] + (1.0 - damping) * val
-            for key, val in new_v2f.items():
-                new_v2f[key] = damping * v2f[key] + (1.0 - damping) * val
-        residual = 0.0
-        for key, val in new_f2v.items():
-            residual = max(residual, float(np.abs(val - f2v[key]).max()))
-        for key, val in new_v2f.items():
-            residual = max(residual, float(np.abs(val - v2f[key]).max()))
+            new_f2v = {d: damping * f2v[d] + (1.0 - damping) * x for d, x in new_f2v.items()}
+            new_v2f = {d: damping * v2f[d] + (1.0 - damping) * x for d, x in new_v2f.items()}
+        residual = max(
+            float(np.abs(new[d] - old[d]).max())
+            for new, old in ((new_f2v, f2v), (new_v2f, v2f))
+            for d in edges
+        )
         f2v, v2f = new_f2v, new_v2f
         if residual < tol:
             converged = True
             break
-    beliefs = []
-    for i in range(g.num_variables):
-        b = np.ones(d[i])
-        for fid in g.var_factors(i):
-            b = b * f2v[(fid, i)]
-        beliefs.append(Measure((i,), (d[i],), b / b.sum()))
-    return BpResult(beliefs, converged, iterations, residual)
+    beliefs: dict[int, Measure] = {}
+    for d, es in edges.items():
+        variables = sorted({v for _, v in es})
+        idx = _padded([[slot[(fid, v)] for fid in g.var_factors(v)] for v in variables], len(es))
+        for v, b in zip(variables, _gathered_products(f2v[d], idx)):
+            beliefs[v] = Measure((v,), (d,), b)
+    return BpResult([beliefs[v] for v in range(g.num_variables)], converged, iterations, residual)
+
+
+def _padded(lists: list[list[int]], pad: int) -> np.ndarray:
+    """Row-index lists as one int array, padded on the right with ``pad``."""
+    width = max(1, max(map(len, lists)))
+    return np.array([r + [pad] * (width - len(r)) for r in lists], dtype=np.intp)
+
+
+def _gathered_products(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Normalized products of the ``rows`` each row of ``idx`` names, in its order.
+
+    An index equal to ``len(rows)`` names a row of ones, which pads ``idx``.
+    """
+    rows = np.vstack((rows, np.ones(rows.shape[1])))
+    p = rows[idx[:, 0]]
+    for c in range(1, idx.shape[1]):
+        p = p * rows[idx[:, c]]
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def exact_marginals(g: FactorGraph, engine: str = "brute") -> list[Measure]:
@@ -531,12 +585,27 @@ def exact_marginals(g: FactorGraph, engine: str = "brute") -> list[Measure]:
     ``varelim`` eliminates variables greedily by smallest intermediate table
     (each intermediate capped at ``VARELIM_BUCKET_CAP`` entries). Both raise
     :class:`CapacityExceededError` past their caps.
+
+    ``varelim`` runs one elimination per query variable, in order 0..n-1, over
+    one shared set of factor measures, and shares bucket eliminations between
+    queries through a memo local to the call (bucket elimination, Dechter
+    1999). A bucket is keyed on its variable and the ``id`` of each of its
+    tables in table-id order; ids grow the same way on every query's path, so
+    a key fixes the inputs and their order, and a hit is bit-identical to
+    recomputing it. Only buckets whose scope union misses the query variable
+    are stored: only those recur in other queries, so the memo holds at most
+    one entry per variable. Each entry keeps its input tables alive, so no
+    ``id`` in a key is reused. Every bucket computed is checked against the
+    cap, and a stored one was checked when computed, so a query fails exactly
+    where it would without the memo.
     """
     if engine == "brute":
         return _brute_marginals(g)
     if engine == "varelim":
         order = _elimination_order(g)
-        return [_varelim_marginal(g, order, q) for q in range(g.num_variables)]
+        base = {f.id: Measure._new(f.scope, f.sizes, f.table) for f in g.factors}
+        memo: dict[tuple[int, ...], tuple[Measure, list[Measure]]] = {}
+        return [_varelim_marginal(g, order, q, base, memo) for q in range(g.num_variables)]
     raise ValueError(f"unknown exact-inference engine {engine!r}")
 
 
@@ -558,7 +627,7 @@ def _brute_marginals(g: FactorGraph) -> list[Measure]:
 def _elimination_order(g: FactorGraph) -> list[int]:
     """Greedy min-weight elimination order on the variable interaction graph.
 
-    Computed once per graph; each per-query elimination reuses it, skipping
+    Computed once per graph; each query's elimination follows it, skipping
     the query variable (any order restricted this way stays valid).
     """
     size_of = {v.id: v.domain_size for v in g.variables}
@@ -585,11 +654,20 @@ def _elimination_order(g: FactorGraph) -> list[int]:
     return order
 
 
-def _varelim_marginal(g: FactorGraph, order: list[int], q: int) -> Measure:
+def _varelim_marginal(
+    g: FactorGraph,
+    order: list[int],
+    q: int,
+    base: dict[int, Measure],
+    memo: dict[tuple[int, ...], tuple[Measure, list[Measure]]],
+) -> Measure:
+    """Marginal of ``q``: eliminate every other variable from ``base`` along ``order``.
+
+    ``memo`` maps a bucket's key to its summed-out table and its inputs; see
+    :func:`exact_marginals`.
+    """
     size_of = {v.id: v.domain_size for v in g.variables}
-    tables: dict[int, Measure] = {
-        f.id: Measure._new(f.scope, f.sizes, f.table) for f in g.factors
-    }
+    tables = dict(base)
     by_var: dict[int, set[int]] = {i: set() for i in range(g.num_variables)}
     for tid, t in tables.items():
         for v in t.scope:
@@ -599,23 +677,29 @@ def _varelim_marginal(g: FactorGraph, order: list[int], q: int) -> Measure:
         if v == q or not by_var[v]:
             continue
         ids = sorted(by_var[v])
-        union: set[int] = set()
-        for tid in ids:
-            union.update(tables[tid].scope)
-        weight = prod(size_of[u] for u in union)
-        if weight > VARELIM_BUCKET_CAP:
-            raise CapacityExceededError(
-                f"eliminating variable {v} needs a {weight}-entry table "
-                f"(cap {VARELIM_BUCKET_CAP})"
-            )
-        prodm = tables[ids[0]]
-        for tid in ids[1:]:
-            prodm = multiply(prodm, tables[tid])
-        for tid in ids:
-            for u in tables[tid].scope:
+        bucket = [tables[tid] for tid in ids]
+        key = (v, *map(id, bucket))
+        hit = memo.get(key)
+        if hit is not None:
+            summed = hit[0]
+        else:
+            union = set().union(*(t.scope for t in bucket))
+            weight = prod(size_of[u] for u in union)
+            if weight > VARELIM_BUCKET_CAP:
+                raise CapacityExceededError(
+                    f"eliminating variable {v} needs a {weight}-entry table "
+                    f"(cap {VARELIM_BUCKET_CAP})"
+                )
+            prodm = bucket[0]
+            for t in bucket[1:]:
+                prodm = multiply(prodm, t)
+            summed = marginalize_out(prodm, {v})
+            if q not in union:
+                memo[key] = (summed, bucket)
+        for tid, t in zip(ids, bucket):
+            for u in t.scope:
                 by_var[u].discard(tid)
             del tables[tid]
-        summed = marginalize_out(prodm, {v})
         tables[next_id] = summed
         for u in summed.scope:
             by_var[u].add(next_id)

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from boxprop import bench as bench_module
 from boxprop import cli as cli_module
 from boxprop.cli import main
 from boxprop.factorgraph import parse_fg, write_fg
@@ -192,6 +193,52 @@ def test_compare_refuses_a_bad_method_list_before_any_work(
     code, out, err = run(capsys, "compare", "--in", triangle_file, "--methods", methods)
     assert code == 1 and out == ""
     assert "--methods" in err
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("--max-iter", "0"),
+        ("--max-iter", "-3"),
+        ("--tol", "-1"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--damping", "1"),
+        ("--damping", "nan"),
+    ],
+)
+def test_bp_refuses_bad_options_before_reading_the_graph(
+    triangle_file, capsys, monkeypatch, option
+):
+    monkeypatch.setattr(cli_module, "_load_graph", graph_never_read)
+    code, out, err = run(capsys, "bp", "--in", triangle_file, *option)
+    assert code == 1 and out == ""
+    assert option[0] in err
+
+
+def test_compare_without_bp_skips_the_exact_oracle(triangle_file, tmp_path, capsys, monkeypatch):
+    methods = list(bench_module.METHODS)
+    expected = bench_module.compare(triangle_graph(), methods, dict.fromkeys(methods, 5000))
+
+    def oracle_never_called(*args, **kwargs):
+        raise AssertionError("compare without --bp computed exact marginals")
+
+    monkeypatch.setattr(bench_module, "exact_marginals", oracle_never_called)
+    details = tmp_path / "details.jsonl"
+    code, out, _ = run(capsys, "compare", "--in", triangle_file, "--details-out", str(details))
+    assert code == 0
+
+    def untimed(summary, detail_text):
+        rows = [line.rsplit(",", 1)[0] for line in summary.splitlines()]
+        records = [json.loads(line) for line in detail_text.splitlines()]
+        for r in records:
+            del r["time_ms"]
+        return rows, records
+
+    assert untimed(out, details.read_text()) == untimed(
+        bench_module.summary_csv(expected.gap_records),
+        bench_module.detail_lines(expected.detail_records),
+    )
 
 
 def test_malformed_file_exit_2(tmp_path, capsys):

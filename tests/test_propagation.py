@@ -534,6 +534,26 @@ def test_bp_damping_reaches_same_fixed_point():
         assert np.abs(a.values - b.values).max() <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "option",
+    [
+        {"max_iter": 0},
+        {"max_iter": -3},
+        {"tol": 0.0},
+        {"tol": -1.0},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"damping": 1.0},
+        {"damping": float("nan")},
+    ],
+)
+def test_bp_refuses_bad_options(option):
+    # max_iter 0 would return beliefs that were never computed, and a tol that
+    # can never be met would run every sweep.
+    with pytest.raises(ValueError):
+        bp_marginals(triangle_graph(), **option)
+
+
 # ------------------------------------------------------------- exact oracles
 
 
@@ -565,6 +585,35 @@ def test_varelim_capacity_guard():
     g = graph_from([(tuple(range(n)), (2,) * n, np.ones(2**n))])
     with pytest.raises(CapacityExceededError):
         exact_marginals(g, "varelim")
+
+
+def test_varelim_shares_bucket_eliminations(monkeypatch):
+    calls = []
+    real = propagation.marginalize_out
+    monkeypatch.setattr(
+        propagation, "marginalize_out", lambda m, drop: calls.append(drop) or real(m, drop)
+    )
+    g = random_tree_graph(np.random.default_rng(55), 100)
+    exact_marginals(g, "varelim")
+    # One whole elimination per query makes 9,900 calls here; the memo 716.
+    assert len(calls) <= 1000
+
+
+def test_varelim_capacity_error_names_the_failing_query_bucket(monkeypatch):
+    # On this 5-cycle only query 4, the last one, keeps its own variable in a
+    # 27-entry bucket; every other bucket of every query has at most 18
+    # entries. The earlier queries fill the memo, and the error is the one a
+    # per-query elimination raised.
+    doms = (2, 3, 3, 2, 3)
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    g = graph_from([((a, b), (doms[a], doms[b]), np.ones(doms[a] * doms[b])) for a, b in edges])
+    monkeypatch.setattr(propagation, "VARELIM_BUCKET_CAP", 18)
+    with pytest.raises(
+        CapacityExceededError, match=r"^eliminating variable 1 needs a 27-entry table \(cap 18\)$"
+    ):
+        exact_marginals(g, "varelim")
+    monkeypatch.setattr(propagation, "VARELIM_BUCKET_CAP", 27)
+    assert len(exact_marginals(g, "varelim")) == 5
 
 
 def test_unknown_engine():
