@@ -28,26 +28,21 @@ from .measure import (
     bound_sum_product_joint,
     box_product_disjoint_sbb,
     box_product_same_scope,
-    extreme_points,
     marginalize_out,
     multiply,
     normalize,
-    partition_sum,
-    smallest_bounding_box,
 )
 from .propagation import (
     BoundResult,
     BpResult,
     SawNode,
     SawTree,
-    Subtree,
     bp_marginals,
     boxprop_sawtree,
     boxprop_subtree,
     build_saw_tree,
     build_subtree,
     exact_marginals,
-    saw_tree_from_subtree,
 )
 from .bench import (
     CompareResult,

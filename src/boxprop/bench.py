@@ -165,6 +165,18 @@ class DetailRecord:
     time_ms: float
     note: str = ""
 
+    @classmethod
+    def of(cls, res: BoundResult, time_ms: float) -> DetailRecord:
+        """The record of one bound, its box bounds as Python floats."""
+        return cls(
+            res.variable,
+            res.method,
+            tuple(float(x) for x in res.box.lower.values),
+            tuple(float(x) for x in res.box.upper.values),
+            res.nodes_used,
+            time_ms,
+        )
+
 
 @dataclass(eq=False)
 class CompareResult:
@@ -217,16 +229,7 @@ def compare(
                 )
                 continue
             ms = (perf_counter() - t0) * 1e3
-            out.detail_records.append(
-                DetailRecord(
-                    v,
-                    method,
-                    tuple(float(x) for x in res.box.lower.values),
-                    tuple(float(x) for x in res.box.upper.values),
-                    res.nodes_used,
-                    ms,
-                )
-            )
+            out.detail_records.append(DetailRecord.of(res, ms))
             out.gap_records.append(GapRecord(v, method, gap(res.box), ms))
     if exact_engine is not None:
         try:

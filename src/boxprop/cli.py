@@ -19,6 +19,7 @@ import click
 
 from .bench import (
     METHODS,
+    DetailRecord,
     GridSpec,
     compare,
     detail_lines,
@@ -26,12 +27,12 @@ from .bench import (
     gen_ising_grid,
     gen_ternary_grid,
     profiles_csv,
+    run_method,
     summary_csv,
 )
 from .errors import CapacityExceededError, FgFormatError, ZeroMeasureError
 from .factorgraph import parse_fg, validate, write_fg
 from .propagation import bp_marginals, exact_marginals
-from .bench import run_method
 
 DEFAULT_MAX_NODES = 5000
 NODE_BUDGET = click.IntRange(min=1)
@@ -132,24 +133,12 @@ def bound_cmd(method, in_path, root, max_nodes, out_path):
     )
     g = _validated_graph(in_path)
     roots = range(g.num_variables) if root is None else [root]
-    lines = []
+    records = []
     for v in roots:
         t0 = perf_counter()
         res = run_method(g, method, v, max_nodes)
-        ms = (perf_counter() - t0) * 1e3
-        lines.append(
-            json.dumps(
-                {
-                    "variable": v,
-                    "method": method,
-                    "lower": [float(x) for x in res.box.lower.values],
-                    "upper": [float(x) for x in res.box.upper.values],
-                    "nodes_used": res.nodes_used,
-                    "time_ms": round(ms, 3),
-                }
-            )
-        )
-    _emit("\n".join(lines) + "\n", out_path)
+        records.append(DetailRecord.of(res, (perf_counter() - t0) * 1e3))
+    _emit(detail_lines(records), out_path)
     return 0
 
 

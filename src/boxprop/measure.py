@@ -45,14 +45,10 @@ __all__ = [
     "Simplex",
     "MessageSet",
     "scalar_measure",
-    "partition_sum",
     "normalize",
     "multiply",
     "marginalize_out",
-    "delta_measures",
     "box_corner_matrix",
-    "extreme_points",
-    "smallest_bounding_box",
     "box_product_same_scope",
     "box_product_disjoint_sbb",
     "bound_sum_product",
@@ -67,7 +63,7 @@ ENUMERATION_CAP = 1 << 20
 
 @dataclass(eq=False)
 class Measure:
-    """Nonnegative dense table over the joint domain of an ordered scope.
+    """Nonnegative, finite dense table over the joint domain of an ordered scope.
 
     ``scope`` may be empty, in which case the measure is a single scalar.
     """
@@ -90,6 +86,8 @@ class Measure:
             )
         if (values < 0.0).any():
             raise ValueError("measure values must be nonnegative")
+        if not np.isfinite(values).all():
+            raise ValueError("measure values must be finite")
         self.values = values
 
     def nd(self) -> np.ndarray:
@@ -108,11 +106,6 @@ class Measure:
 
 def scalar_measure(value: float = 1.0) -> Measure:
     return Measure((), (), np.array([value]))
-
-
-def partition_sum(m: Measure) -> float:
-    """Sum of all entries."""
-    return float(m.values.sum())
 
 
 def normalize(m: Measure) -> Measure:
@@ -238,11 +231,6 @@ def unit_box(var: int, domain_size: int) -> Box:
     return Box._new(Measure._new(scope, sizes, ones), Measure._new(scope, sizes, ones))
 
 
-def delta_measures(var: int, domain_size: int) -> list[Measure]:
-    eye = np.eye(domain_size)
-    return [Measure((var,), (domain_size,), eye[s]) for s in range(domain_size)]
-
-
 @cache
 def _corner_table(n: int) -> np.ndarray:
     """Read-only ``(2**n, n)`` bool table: row ``c`` has ``True`` at bit ``k`` of ``c``."""
@@ -283,28 +271,6 @@ def _extreme_matrix(ms: MessageSet) -> np.ndarray:
     if isinstance(ms, Simplex):
         return np.eye(ms.domain_size)
     return box_corner_matrix(ms)
-
-
-def extreme_points(ms: MessageSet) -> list[Measure]:
-    """Extreme points of a message set: one-hot measures or box corners."""
-    if isinstance(ms, Simplex):
-        return delta_measures(ms.var, ms.domain_size)
-    return [Measure(ms.scope, ms.sizes, row) for row in box_corner_matrix(ms)]
-
-
-def smallest_bounding_box(points: Sequence[Measure]) -> Box:
-    """Componentwise min/max envelope of a nonempty list of same-scope measures."""
-    if not points:
-        raise ValueError("smallest_bounding_box needs at least one measure")
-    scope, sizes = points[0].scope, points[0].sizes
-    for p in points[1:]:
-        if p.scope != scope or p.sizes != sizes:
-            raise ValueError("all measures must share one scope")
-    stacked = np.stack([p.values for p in points])
-    return Box(
-        Measure(scope, sizes, stacked.min(axis=0)),
-        Measure(scope, sizes, stacked.max(axis=0)),
-    )
 
 
 def box_product_same_scope(boxes: Sequence[Box]) -> Box:

@@ -20,9 +20,9 @@ and direction and repeats a per-edge loop's arithmetic in the same order. See
 Both methods are one engine, a method being a pair of a walk-tree builder and
 a factor rule. A :class:`SawTree` is flat: int lists of endpoints, parent
 endpoints, kind codes and child-range starts in breadth-first order, so one
-reverse loop over them sends every message. The walk-tree method propagates
-:func:`build_saw_tree`'s tree with the joint rule; the subtree method
-propagates :func:`saw_tree_from_subtree`'s with the factorized rule. The
+reverse loop over them sends every message. Each method has one builder: the
+walk-tree method propagates :func:`build_saw_tree`'s tree with the joint rule,
+the subtree method :func:`build_subtree`'s with the factorized rule. The
 linked :class:`SawNode` view (``SawTree.root_node``) is built only on first
 access, for inspection; the engine never reads it.
 
@@ -46,7 +46,6 @@ that miss on one key store the same id. A single pass is sequential.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf, prod
@@ -79,7 +78,6 @@ from .measure import (
 __all__ = [
     "VAR",
     "FAC",
-    "Subtree",
     "SawNode",
     "SawTree",
     "BoundResult",
@@ -87,7 +85,6 @@ __all__ = [
     "build_subtree",
     "boxprop_subtree",
     "build_saw_tree",
-    "saw_tree_from_subtree",
     "boxprop_sawtree",
     "bp_marginals",
     "exact_marginals",
@@ -117,7 +114,7 @@ class _Registry:
     fid, keep, *child ids)`` to the id of the message sent, a factor's child
     ids following its other scope variables in ascending order. Bipartite node
     ``i`` is variable ``i``, or factor ``i - num_variables``; ``nbrs[i]`` lists
-    its neighbours in ascending id order, ``node_of[i]`` is its node tuple.
+    its neighbours in ascending id order.
     """
 
     def __init__(self, g: FactorGraph):
@@ -132,9 +129,6 @@ class _Registry:
         self.nbrs: tuple[tuple[int, ...], ...] = tuple(
             tuple(n + fid for fid in g.var_factors(v)) for v in range(n)
         ) + tuple(tuple(sorted(f.scope)) for f in g.factors)
-        self.node_of: tuple[Node, ...] = tuple((VAR, v) for v in range(n)) + tuple(
-            (FAC, fid) for fid in range(g.num_factors)
-        )
 
     def intern(self, box: Box) -> int:
         """The id of ``box``, adding it if no box with its bytes has one yet."""
@@ -211,48 +205,6 @@ def _factor_message(reg: _Registry, rule: str, fid: int, keep: int, ids: tuple[i
 
 
 @dataclass(eq=False)
-class Subtree:
-    """A rooted tree subgraph of the factor graph (no loose edges)."""
-
-    root: int
-    nodes: set[Node]
-    parent: dict[Node, Node]
-    children: dict[Node, list[Node]]
-
-
-def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> Subtree:
-    """Breadth-first subtree from ``root``; first visit wins, ascending id order.
-
-    Expansion stops once ``max_nodes`` nodes are in the tree, so the result is
-    deterministic for a given graph and budget.
-    """
-    if max_nodes < 1:
-        raise ValueError("max_nodes must be >= 1")
-    if not 0 <= root < g.num_variables:
-        raise ValueError(f"root {root} is not a variable of the graph")
-    reg = _registry(g)
-    nbrs, node_of = reg.nbrs, reg.node_of
-    root_node = node_of[root]
-    nodes = {root_node}
-    parent: dict[Node, Node] = {}
-    children: dict[Node, list[Node]] = {root_node: []}
-    queue: deque[int] = deque([root])
-    while queue:
-        u = queue.popleft()
-        unode = node_of[u]
-        for w in nbrs[u]:
-            wnode = node_of[w]
-            if wnode in nodes or len(nodes) >= max_nodes:
-                continue
-            nodes.add(wnode)
-            parent[wnode] = unode
-            children[unode].append(wnode)
-            children[wnode] = []
-            queue.append(w)
-    return Subtree(root, nodes, parent, children)
-
-
-@dataclass(eq=False)
 class BoundResult:
     """A per-variable bound: a box on the root's marginal, plus bookkeeping."""
 
@@ -304,8 +256,8 @@ class SawTree:
     its parent walk (-1 for the root, walk 0); ``kind[i]`` indexes ``("root",
     "inner", "dead_end", "cycle", "truncated")``; and its children are the
     walks ``first[i]:first[i + 1]``, in ascending endpoint order. ``node_count``
-    counts expanded walk nodes; ``truncated`` markers hang off the frontier
-    once the budget is reached and are not counted against it.
+    counts the walks that are not ``truncated`` markers: those mark extensions
+    the builder cut off and are not counted against its budget.
     """
 
     root: int
@@ -396,48 +348,61 @@ def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     return SawTree(root, count, g.num_variables, end, prev, kind, first)
 
 
-def saw_tree_from_subtree(g: FactorGraph, t: Subtree) -> SawTree:
-    """The walk tree over which the subtree bound is computed.
+def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
+    """Breadth-first subtree from ``root``, as the walk tree its bound runs on.
 
-    Every subtree node becomes the walk leading to it; extensions that leave
-    the subtree become ``truncated`` markers, so they send a simplex. Children
-    keep the subtree's neighbour order. :func:`boxprop_subtree` propagates over
-    this tree with the factorized rule; on pairwise factor graphs the joint
-    rule of :func:`boxprop_sawtree` gives the same box over it.
+    First visit wins: an extension joins the tree if its endpoint is not in
+    the tree yet and fewer than ``max_nodes`` nodes are, so nodes join in
+    ascending id order and the result is deterministic for a given graph and
+    budget. Every other edge leaving a tree node, except the one back to its
+    parent, becomes a ``truncated`` marker and sends a simplex. ``node_count``
+    counts the tree's nodes. On pairwise factor graphs the joint rule of
+    :func:`boxprop_sawtree` gives the same box over this tree as the factorized
+    rule of :func:`boxprop_subtree`.
     """
-    reg = _registry(g)
-    nbrs, node_of = reg.nbrs, reg.node_of
-    end, prev, kind, first = [t.root], [-1], [_ROOT], []
+    if max_nodes < 1:
+        raise ValueError("max_nodes must be >= 1")
+    if not 0 <= root < g.num_variables:
+        raise ValueError(f"root {root} is not a variable of the graph")
+    nbrs = _registry(g).nbrs
+    end, prev, kind, first = [root], [-1], [_ROOT], []
+    # The tree's node set as one bitmask over bipartite ids.
+    in_tree = 1 << root
+    count = 1
     for i, u in enumerate(end):
         start = len(end)
         first.append(start)
         if kind[i] == _TRUNCATED:
             continue
-        p, tree_children = prev[i], t.children[node_of[u]]
+        p = prev[i]
         for w in nbrs[u]:
             if w == p:
                 continue
             end.append(w)
             prev.append(u)
-            kind.append(_INNER if node_of[w] in tree_children else _TRUNCATED)
+            if count < max_nodes and not in_tree >> w & 1:
+                count += 1
+                in_tree |= 1 << w
+                kind.append(_INNER)
+            else:
+                kind.append(_TRUNCATED)
         if i and len(end) == start:
             kind[i] = _DEAD_END
     first.append(len(end))
-    return SawTree(t.root, len(t.nodes), g.num_variables, end, prev, kind, first)
+    return SawTree(root, count, g.num_variables, end, prev, kind, first)
 
 
-def boxprop_subtree(g: FactorGraph, t: Subtree) -> BoundResult:
-    """Leaf-to-root box propagation over a subtree of the factor graph.
+def boxprop_subtree(g: FactorGraph, t: SawTree) -> BoundResult:
+    """Leaf-to-root box propagation over :func:`build_subtree`'s tree.
 
     The returned box contains the exact marginal of the root variable and any
-    converged loopy BP belief for it, whatever the subtree choice. The pass
-    runs over :func:`saw_tree_from_subtree`'s walk tree with the factorized
-    rule, so a graph edge missing from the subtree sends a whole simplex, as a
-    truncated walk does.
+    converged loopy BP belief for it, whatever the subtree choice. Factor nodes
+    apply the factorized rule, and a graph edge missing from the subtree sends
+    a whole simplex, as a truncated walk does.
     """
     start = perf_counter()
-    belief = _propagate(_registry(g), saw_tree_from_subtree(g, t), FACTORIZED)
-    return BoundResult(t.root, belief, "subtree", len(t.nodes), perf_counter() - start)
+    belief = _propagate(_registry(g), t, FACTORIZED)
+    return BoundResult(t.root, belief, "subtree", t.node_count, perf_counter() - start)
 
 
 def boxprop_sawtree(g: FactorGraph, t: SawTree) -> BoundResult:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from boxprop.factorgraph import Factor, FactorGraph
-from boxprop.measure import Measure
+from boxprop.measure import Box, Measure, MessageSet, Simplex, box_corner_matrix
 
 
 def graph_from(tables):
@@ -132,4 +132,40 @@ def box_contains(box, values, slack=0.0) -> bool:
     return bool(
         np.all(values >= box.lower.values - slack)
         and np.all(values <= box.upper.values + slack)
+    )
+
+
+# Reference operations on measures and message sets. The engine never calls
+# them; tests use them to state what the engine's kernels must compute.
+
+
+def partition_sum(m: Measure) -> float:
+    """Sum of all entries."""
+    return float(m.values.sum())
+
+
+def delta_measures(var: int, domain_size: int) -> list[Measure]:
+    eye = np.eye(domain_size)
+    return [Measure((var,), (domain_size,), eye[s]) for s in range(domain_size)]
+
+
+def extreme_points(ms: MessageSet) -> list[Measure]:
+    """Extreme points of a message set: one-hot measures or box corners."""
+    if isinstance(ms, Simplex):
+        return delta_measures(ms.var, ms.domain_size)
+    return [Measure(ms.scope, ms.sizes, row) for row in box_corner_matrix(ms)]
+
+
+def smallest_bounding_box(points: list[Measure]) -> Box:
+    """Componentwise min/max envelope of a nonempty list of same-scope measures."""
+    if not points:
+        raise ValueError("smallest_bounding_box needs at least one measure")
+    scope, sizes = points[0].scope, points[0].sizes
+    for p in points[1:]:
+        if p.scope != scope or p.sizes != sizes:
+            raise ValueError("all measures must share one scope")
+    stacked = np.stack([p.values for p in points])
+    return Box(
+        Measure(scope, sizes, stacked.min(axis=0)),
+        Measure(scope, sizes, stacked.max(axis=0)),
     )

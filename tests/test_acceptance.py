@@ -21,7 +21,6 @@ from boxprop.propagation import (
     build_saw_tree,
     build_subtree,
     exact_marginals,
-    saw_tree_from_subtree,
 )
 from helpers import (
     box_contains,
@@ -169,7 +168,7 @@ def test_criterion_06_pairwise_truncation_equivalence():
             for budget in (4, 9, 10_000):
                 t = build_subtree(g, root, budget)
                 a = boxprop_subtree(g, t).box
-                b = boxprop_sawtree(g, saw_tree_from_subtree(g, t)).box
+                b = boxprop_sawtree(g, t).box
                 assert np.abs(a.lower.values - b.lower.values).max() <= 1e-12
                 assert np.abs(a.upper.values - b.upper.values).max() <= 1e-12
 

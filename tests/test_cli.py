@@ -241,6 +241,28 @@ def test_compare_without_bp_skips_the_exact_oracle(triangle_file, tmp_path, caps
     )
 
 
+def test_bound_lines_equal_compare_details(tmp_path, capsys):
+    fg, details = tmp_path / "g.fg", tmp_path / "details.jsonl"
+    fg.write_text(write_fg(bench_module.gen_ising_grid(bench_module.GridSpec(5, 5, 2, 1.0, 42))))
+    code, _, _ = run(
+        capsys, "compare", "--in", str(fg), "--max-nodes", "300", "--details-out", str(details)
+    )
+    assert code == 0
+
+    def untimed(text):
+        records = [json.loads(line) for line in text.splitlines()]
+        for r in records:
+            del r["time_ms"]
+        return records
+
+    bound = []
+    for method in ("sawtree", "subtree"):
+        code, out, _ = run(capsys, "bound", "--method", method, "--max-nodes", "300", "--in", str(fg))
+        assert code == 0
+        bound += untimed(out)
+    assert bound == untimed(details.read_text())
+
+
 def test_malformed_file_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.fg"
     path.write_text("not a number\n")

@@ -16,15 +16,12 @@ from boxprop.measure import (
     box_corner_matrix,
     box_product_disjoint_sbb,
     box_product_same_scope,
-    extreme_points,
     full_box,
     marginalize_out,
     multiply,
     normalize,
-    partition_sum,
-    smallest_bounding_box,
 )
-from helpers import measure_value
+from helpers import extreme_points, measure_value, partition_sum, smallest_bounding_box
 
 SYM = Factor(0, (0, 1), (2, 2), np.array([1.0, 2.0, 2.0, 1.0]))
 
@@ -82,6 +79,21 @@ def test_multiply_domain_mismatch():
 def test_measure_rejects_a_negative_entry_beside_a_nan():
     with pytest.raises(ValueError, match="nonnegative"):
         Measure((0,), (3,), [np.nan, -1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([np.nan, np.nan], "finite"),
+        ([np.inf, np.inf], "finite"),
+        ([np.nan, 1.0], "finite"),
+        ([np.inf, 1.0], "finite"),
+        ([-np.inf, 1.0], "nonnegative"),
+    ],
+)
+def test_measure_rejects_a_non_finite_entry(values, message):
+    with pytest.raises(ValueError, match=message):
+        Measure((0,), (2,), values)
 
 
 def test_marginalize_out():

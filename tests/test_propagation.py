@@ -22,7 +22,6 @@ from boxprop.propagation import (
     build_saw_tree,
     build_subtree,
     exact_marginals,
-    saw_tree_from_subtree,
 )
 from boxprop.bench import GridSpec, gap, gen_ising_grid, run_method
 from helpers import (
@@ -43,29 +42,65 @@ EX2_LOW, EX2_HIGH = 2 / 7, 5 / 7
 # ----------------------------------------------------------- subtree build
 
 
+def subtree_children(g, t):
+    """Each subtree node's children, from the flat tree without its truncated markers."""
+    n, end, kind, first = g.num_variables, t.end, t.kind, t.first
+    node = lambda u: (VAR, u) if u < n else (FAC, u - n)
+    kept = [k != propagation._TRUNCATED for k in kind]
+    return {
+        node(end[i]): [node(end[j]) for j in range(first[i], first[i + 1]) if kept[j]]
+        for i in range(len(end))
+        if kept[i]
+    }
+
+
 def test_build_subtree_reproduces_drawn_example():
     # With the (0,2) coupling listed first, the breadth-first tree from root 0
     # hangs the (1,2) factor off variable 2, and variable 1 stays a leaf.
     g = triangle_graph_k_first()
     t = build_subtree(g, 0, 100)
-    assert t.children[(VAR, 0)] == [(FAC, 0), (FAC, 1)]
-    assert t.children[(FAC, 0)] == [(VAR, 2)]
-    assert t.children[(FAC, 1)] == [(VAR, 1)]
-    assert t.children[(VAR, 2)] == [(FAC, 2)]
-    assert t.children[(VAR, 1)] == []
-    assert t.children[(FAC, 2)] == []
+    children = subtree_children(g, t)
+    assert children[(VAR, 0)] == [(FAC, 0), (FAC, 1)]
+    assert children[(FAC, 0)] == [(VAR, 2)]
+    assert children[(FAC, 1)] == [(VAR, 1)]
+    assert children[(VAR, 2)] == [(FAC, 2)]
+    assert children[(VAR, 1)] == []
+    assert children[(FAC, 2)] == []
+    assert len(children) == t.node_count == 6
 
 
 def test_build_subtree_budget_one():
-    t = build_subtree(triangle_graph(), 0, 1)
-    assert t.nodes == {(VAR, 0)}
+    g = triangle_graph()
+    t = build_subtree(g, 0, 1)
+    assert subtree_children(g, t) == {(VAR, 0): []}
+    assert t.node_count == 1
 
 
 def test_build_subtree_covers_whole_tree_graph():
     rng = np.random.default_rng(2)
     g = random_tree_graph(rng, 20)
     t = build_subtree(g, 0, 10_000)
-    assert len(t.nodes) == g.num_variables + g.num_factors
+    assert len(subtree_children(g, t)) == t.node_count == g.num_variables + g.num_factors
+
+
+def test_subtree_invariants():
+    # Each graph node joins at most once; a marker stands for an edge to a node
+    # already in the tree, or for any edge once the budget is spent; on a
+    # connected graph the tree takes every node the budget allows.
+    rng = np.random.default_rng(32)
+    for _ in range(25):
+        g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=3)
+        total = g.num_variables + g.num_factors
+        for root in range(g.num_variables):
+            for budget in (1, 2, 5, 12, 100_000):
+                t = build_subtree(g, root, budget)
+                inner = [i for i, k in enumerate(t.kind) if k != propagation._TRUNCATED]
+                joined_at = {t.end[i]: i for i in inner}
+                assert len(joined_at) == len(inner) == t.node_count == min(budget, total)
+                for j, k in enumerate(t.kind):
+                    if k == propagation._TRUNCATED:
+                        spent = sum(1 for i in inner if i < j) == budget
+                        assert joined_at.get(t.end[j], j) < j or spent
 
 
 # ------------------------------------------------------- subtree propagation
@@ -74,7 +109,7 @@ def test_build_subtree_covers_whole_tree_graph():
 def test_example_one_box():
     g = triangle_graph()
     t = build_subtree(g, 0, 5)
-    assert {n for n in t.nodes} == {(VAR, 0), (FAC, 0), (FAC, 1), (VAR, 1), (VAR, 2)}
+    assert set(subtree_children(g, t)) == {(VAR, 0), (FAC, 0), (FAC, 1), (VAR, 1), (VAR, 2)}
     res = boxprop_subtree(g, t)
     assert np.allclose(res.box.lower.values, [EX1_LOW, EX1_LOW], atol=1e-12)
     assert np.allclose(res.box.upper.values, [EX1_HIGH, EX1_HIGH], atol=1e-12)
@@ -206,7 +241,7 @@ def test_flat_layout_of_both_builders():
         for root in range(g.num_variables):
             for budget in (1, 4, 25, 100_000):
                 check_flat_layout(g, build_saw_tree(g, root, budget))
-                check_flat_layout(g, saw_tree_from_subtree(g, build_subtree(g, root, budget)))
+                check_flat_layout(g, build_subtree(g, root, budget))
 
 
 # ------------------------------------------------------ SAW-tree propagation
@@ -244,7 +279,7 @@ def test_pairwise_subtree_equals_restricted_sawtree():
             for budget in (3, 7, 1000):
                 t = build_subtree(g, root, budget)
                 a = boxprop_subtree(g, t).box
-                b = boxprop_sawtree(g, saw_tree_from_subtree(g, t)).box
+                b = boxprop_sawtree(g, t).box
                 assert np.abs(a.lower.values - b.lower.values).max() <= 1e-12
                 assert np.abs(a.upper.values - b.upper.values).max() <= 1e-12
 
