@@ -4,7 +4,8 @@
 For each interaction strength, generates one seeded grid instance (binary
 spin glass and/or ternary pairwise), bounds every variable with the subtree
 and walk-tree methods, checks the exact marginal lies inside every box, and
-writes summary/profile CSVs plus per-variable detail records.
+writes summary/profile CSVs plus per-variable detail records. Exits 1 if an
+exact marginal lies outside a box.
 
 Example:
     python scripts/run_grid_benchmarks.py --out-dir results --rows 5 --cols 5
@@ -92,11 +93,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
+    rows = []
     if args.family in ("binary", "both"):
-        run_family("binary", gen_ising_grid, 2, args, args.out_dir)
+        rows += run_family("binary", gen_ising_grid, 2, args, args.out_dir)
     if args.family in ("ternary", "both"):
-        run_family("ternary", gen_ternary_grid, 3, args, args.out_dir)
+        rows += run_family("ternary", gen_ternary_grid, 3, args, args.out_dir)
     print(f"wrote reports to {args.out_dir}/")
+    missed = [f"{r['family']} beta={r['beta']:g}" for r in rows if r["exact_in_boxes"] == "NO"]
+    if missed:
+        print(f"error: exact marginal outside a box: {', '.join(missed)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "detail_lines",
     "gap_profiles",
     "profiles_csv",
+    "median_gap",
     "METHODS",
 ]
 
@@ -184,6 +185,7 @@ class CompareResult:
     detail_records: list[DetailRecord] = field(default_factory=list)
     exact: list | None = None
     bp: BpResult | None = None
+    exact_error: str = ""
 
 
 def run_method(g: FactorGraph, method: str, root: int, max_nodes: int) -> BoundResult:
@@ -212,8 +214,9 @@ def compare(
     records instead of aborting the run. When the exact oracle is feasible the
     result carries exact marginals, and if BP is requested its per-variable
     error ``max_x |belief - exact|`` is reported as extra gap records under the
-    method label ``bp``. Records are merged deterministically by
-    (method, variable).
+    method label ``bp``. When the oracle exceeds its cap, ``exact`` is ``None``,
+    ``exact_error`` holds the cap error's message and no ``bp`` rows are made.
+    Records are merged deterministically by (method, variable).
     """
     out = CompareResult()
     for method in methods:
@@ -234,8 +237,9 @@ def compare(
     if exact_engine is not None:
         try:
             out.exact = exact_marginals(g, engine=exact_engine)
-        except CapacityExceededError:
+        except CapacityExceededError as exc:
             out.exact = None
+            out.exact_error = str(exc)
     if run_bp:
         t0 = perf_counter()
         out.bp = bp_marginals(g, tol=bp_tol, max_iter=bp_max_iter, damping=bp_damping)

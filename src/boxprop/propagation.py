@@ -9,13 +9,11 @@ contain any converged loopy BP belief for the root.
 
 Loopy BP and two exact-inference engines (brute-force enumeration and variable
 elimination) are included as oracles for checking those containment claims.
-Both reuse work and return the same bytes as a plain loop would. Variable
-elimination shares bucket eliminations between query variables through a memo
-local to one call, keyed on the bucket's variable and the identity of its
-tables, storing only buckets free of the query variable (at most one per
-variable). BP holds its messages in one ``(edges, d)`` array per domain size
-and direction and repeats a per-edge loop's arithmetic in the same order. See
-:func:`exact_marginals` and :func:`bp_marginals`.
+Variable elimination gives every marginal from one upward and one downward
+pass over the bucket tree of a greedy elimination order, one message each way
+per tree edge. BP holds its messages in one ``(edges, d)`` array per domain
+size and direction and returns the same bytes as a plain per-edge loop would.
+See :func:`exact_marginals` and :func:`bp_marginals`.
 
 Both methods are one engine, a method being a pair of a walk-tree builder and
 a factor rule. A :class:`SawTree` is flat: int lists of endpoints, parent
@@ -48,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import inf, prod
 from threading import Lock
 from time import perf_counter
@@ -547,30 +546,27 @@ def exact_marginals(g: FactorGraph, engine: str = "brute") -> list[Measure]:
     """Exact normalized single-variable marginals.
 
     ``brute`` materializes the joint table (capped at ``BRUTE_CAP`` states);
-    ``varelim`` eliminates variables greedily by smallest intermediate table
-    (each intermediate capped at ``VARELIM_BUCKET_CAP`` entries). Both raise
-    :class:`CapacityExceededError` past their caps.
+    ``varelim`` runs bucket-tree elimination (Kask, Dechter, Larrosa and
+    Dechter 2005) along a greedy min-weight order, with every clique capped at
+    ``VARELIM_BUCKET_CAP`` entries. Both raise :class:`CapacityExceededError`
+    past their caps.
 
-    ``varelim`` runs one elimination per query variable, in order 0..n-1, over
-    one shared set of factor measures, and shares bucket eliminations between
-    queries through a memo local to the call (bucket elimination, Dechter
-    1999). A bucket is keyed on its variable and the ``id`` of each of its
-    tables in table-id order; ids grow the same way on every query's path, so
-    a key fixes the inputs and their order, and a hit is bit-identical to
-    recomputing it. Only buckets whose scope union misses the query variable
-    are stored: only those recur in other queries, so the memo holds at most
-    one entry per variable. Each entry keeps its input tables alive, so no
-    ``id`` in a key is reused. Every bucket computed is checked against the
-    cap, and a stored one was checked when computed, so a query fails exactly
-    where it would without the memo.
+    Each factor goes into the bucket of its earliest-eliminated variable. An
+    upward pass along the order multiplies each bucket's factors and its
+    children's messages, sums out the bucket's variable and sends the result
+    to the bucket of that result's earliest-eliminated variable, its parent;
+    a scalar result ends a connected component and is dropped. A downward
+    pass in reverse order gives each variable's marginal from its bucket
+    product times its parent's message, and sends each child the same
+    product without the child's own message, summed down to that message's
+    scope. The clique of each bucket (the union of its tables' scopes) is
+    checked against the cap once, before its product is built; every later
+    table lies on a subset of a checked clique.
     """
     if engine == "brute":
         return _brute_marginals(g)
     if engine == "varelim":
-        order = _elimination_order(g)
-        base = {f.id: Measure._new(f.scope, f.sizes, f.table) for f in g.factors}
-        memo: dict[tuple[int, ...], tuple[Measure, list[Measure]]] = {}
-        return [_varelim_marginal(g, order, q, base, memo) for q in range(g.num_variables)]
+        return _bucket_tree_marginals(g, _elimination_order(g))
     raise ValueError(f"unknown exact-inference engine {engine!r}")
 
 
@@ -592,88 +588,102 @@ def _brute_marginals(g: FactorGraph) -> list[Measure]:
 def _elimination_order(g: FactorGraph) -> list[int]:
     """Greedy min-weight elimination order on the variable interaction graph.
 
-    Computed once per graph; each query's elimination follows it, skipping
-    the query variable (any order restricted this way stays valid).
+    A variable's weight is the size of the table eliminating it would build:
+    its domain size times its live neighbours'. Each step eliminates the
+    lightest variable, the smallest id among equals, and connects its live
+    neighbours; only their weights change, so only theirs are recomputed and
+    pushed again, and a popped entry whose weight is out of date is skipped.
     """
-    size_of = {v.id: v.domain_size for v in g.variables}
-    neighbors: dict[int, set[int]] = {i: set() for i in range(g.num_variables)}
+    n = g.num_variables
+    size_of = [g.domain_size(v) for v in range(n)]
+    neighbors: list[set[int]] = [set() for _ in range(n)]
     for f in g.factors:
         for a in f.scope:
             neighbors[a].update(f.scope)
-    for i, ns in neighbors.items():
+    for i, ns in enumerate(neighbors):
         ns.discard(i)
-    remaining = set(range(g.num_variables))
+    weight = [size_of[v] * prod(size_of[u] for u in neighbors[v]) for v in range(n)]
+    heap = [(w, v) for v, w in enumerate(weight)]
+    heapify(heap)
+    eliminated = [False] * n
     order: list[int] = []
-    while remaining:
-        best_v, best_w = -1, None
-        for v in sorted(remaining):
-            w = size_of[v] * prod(size_of[u] for u in neighbors[v] if u in remaining)
-            if best_w is None or w < best_w:
-                best_v, best_w = v, w
-        order.append(best_v)
-        remaining.remove(best_v)
-        live = [u for u in neighbors[best_v] if u in remaining]
+    while heap:
+        w, v = heappop(heap)
+        if eliminated[v] or w != weight[v]:
+            continue
+        eliminated[v] = True
+        order.append(v)
+        live = neighbors[v]
         for u in live:
-            neighbors[u].update(live)
-            neighbors[u].discard(u)
+            ns = neighbors[u]
+            ns.discard(v)
+            ns.update(live)
+            ns.discard(u)
+            weight[u] = size_of[u] * prod(size_of[x] for x in ns)
+            heappush(heap, (weight[u], u))
     return order
 
 
-def _varelim_marginal(
-    g: FactorGraph,
-    order: list[int],
-    q: int,
-    base: dict[int, Measure],
-    memo: dict[tuple[int, ...], tuple[Measure, list[Measure]]],
-) -> Measure:
-    """Marginal of ``q``: eliminate every other variable from ``base`` along ``order``.
+def _bucket_tree_marginals(g: FactorGraph, order: list[int]) -> list[Measure]:
+    """All marginals by one upward and one downward pass; see :func:`exact_marginals`.
 
-    ``memo`` maps a bucket's key to its summed-out table and its inputs; see
-    :func:`exact_marginals`.
+    Every variable lies in some factor, so every bucket gets a factor or a
+    child's message: a variable stays in each message until its own bucket.
     """
-    size_of = {v.id: v.domain_size for v in g.variables}
-    tables = dict(base)
-    by_var: dict[int, set[int]] = {i: set() for i in range(g.num_variables)}
-    for tid, t in tables.items():
-        for v in t.scope:
-            by_var[v].add(tid)
-    next_id = len(tables)
+    n = g.num_variables
+    size_of = [g.domain_size(v) for v in range(n)]
+    earliest = {v: k for k, v in enumerate(order)}.__getitem__
+    bucket: list[list[Measure]] = [[] for _ in range(n)]
+    for f in g.factors:
+        bucket[min(f.scope, key=earliest)].append(Measure._new(f.scope, f.sizes, f.table))
+    # Each bucket's factor product, its children, and the messages each way;
+    # ``None`` stands for the constant 1.
+    local: list[Measure | None] = [None] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    up: list[Measure | None] = [None] * n
+    down: list[Measure | None] = [None] * n
     for v in order:
-        if v == q or not by_var[v]:
-            continue
-        ids = sorted(by_var[v])
-        bucket = [tables[tid] for tid in ids]
-        key = (v, *map(id, bucket))
-        hit = memo.get(key)
-        if hit is not None:
-            summed = hit[0]
-        else:
-            union = set().union(*(t.scope for t in bucket))
-            weight = prod(size_of[u] for u in union)
-            if weight > VARELIM_BUCKET_CAP:
-                raise CapacityExceededError(
-                    f"eliminating variable {v} needs a {weight}-entry table "
-                    f"(cap {VARELIM_BUCKET_CAP})"
-                )
-            prodm = bucket[0]
-            for t in bucket[1:]:
-                prodm = multiply(prodm, t)
-            summed = marginalize_out(prodm, {v})
-            if q not in union:
-                memo[key] = (summed, bucket)
-        for tid, t in zip(ids, bucket):
-            for u in t.scope:
-                by_var[u].discard(tid)
-            del tables[tid]
-        tables[next_id] = summed
-        for u in summed.scope:
-            by_var[u].add(next_id)
-        next_id += 1
-    remaining = [tables[tid] for tid in sorted(tables)]
-    result = remaining[0]
-    for t in remaining[1:]:
-        result = multiply(result, t)
-    if result.scope != (q,):
-        ones = Measure((q,), (size_of[q],), np.ones(size_of[q]))
-        result = multiply(result, ones)
-    return normalize(result)
+        tables = bucket[v] + [up[c] for c in children[v]]
+        weight = prod(size_of[u] for u in set().union(*(t.scope for t in tables)))
+        if weight > VARELIM_BUCKET_CAP:
+            raise CapacityExceededError(
+                f"eliminating variable {v} needs a {weight}-entry table "
+                f"(cap {VARELIM_BUCKET_CAP})"
+            )
+        for t in bucket[v]:
+            local[v] = _times(local[v], t)
+        clique = local[v]
+        for c in children[v]:
+            clique = _times(clique, up[c])
+        msg = marginalize_out(clique, {v})
+        if msg.scope:
+            up[v] = msg
+            children[min(msg.scope, key=earliest)].append(v)
+    out: list = [None] * n
+    for v in reversed(order):
+        kids = children[v]
+        # prefix[j]: the bucket's factors and parent message times the first j
+        # children's messages; suffix[j]: the messages of children j + 1 on.
+        prefix = [_times(local[v], down[v])]
+        for c in kids:
+            prefix.append(_times(prefix[-1], up[c]))
+        suffix: list[Measure | None] = [None]
+        for c in reversed(kids[1:]):
+            suffix.append(_times(up[c], suffix[-1]))
+        suffix.reverse()
+        total = prefix[-1]
+        out[v] = normalize(marginalize_out(total, set(total.scope) - {v}))
+        for j, c in enumerate(kids):
+            rest = _times(prefix[j], suffix[j])
+            if rest is not None:
+                down[c] = marginalize_out(rest, set(rest.scope) - set(up[c].scope))
+    return out
+
+
+def _times(a: Measure | None, b: Measure | None) -> Measure | None:
+    """Product of two optional measures; ``None`` stands for the constant 1."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return multiply(a, b)

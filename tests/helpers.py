@@ -1,5 +1,7 @@
 """Shared graph builders and seeded random generators for the test suite."""
 
+from math import prod
+
 import numpy as np
 
 from boxprop.factorgraph import Factor, FactorGraph
@@ -169,3 +171,35 @@ def smallest_bounding_box(points: list[Measure]) -> Box:
         Measure(scope, sizes, stacked.min(axis=0)),
         Measure(scope, sizes, stacked.max(axis=0)),
     )
+
+
+def reference_elimination_order(g) -> list[int]:
+    """Greedy min-weight elimination order by a full rescan at every step.
+
+    Each step scans the remaining variables in ascending id order and takes
+    the first of smallest weight (domain size times the live neighbours'
+    domain sizes), then connects its live neighbours. The engine's order must
+    equal this one.
+    """
+    size_of = {v.id: v.domain_size for v in g.variables}
+    neighbors: dict[int, set[int]] = {i: set() for i in range(g.num_variables)}
+    for f in g.factors:
+        for a in f.scope:
+            neighbors[a].update(f.scope)
+    for i, ns in neighbors.items():
+        ns.discard(i)
+    remaining = set(range(g.num_variables))
+    order: list[int] = []
+    while remaining:
+        best_v, best_w = -1, None
+        for v in sorted(remaining):
+            w = size_of[v] * prod(size_of[u] for u in neighbors[v] if u in remaining)
+            if best_w is None or w < best_w:
+                best_v, best_w = v, w
+        order.append(best_v)
+        remaining.remove(best_v)
+        live = [u for u in neighbors[best_v] if u in remaining]
+        for u in live:
+            neighbors[u].update(live)
+            neighbors[u].discard(u)
+    return order

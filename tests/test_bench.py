@@ -1,4 +1,6 @@
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,3 +244,32 @@ def test_gap_profiles_sorted():
     text = profiles_csv(profiles)
     assert text.splitlines()[0] == "method,rank,gap"
     assert "sawtree,0,0.1" in text
+
+
+# ------------------------------------------------------------ desk benchmark
+
+
+def _grid_benchmark_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_grid_benchmarks.py"
+    spec = importlib.util.spec_from_file_location("run_grid_benchmarks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_grid_benchmark_script_fails_on_a_missed_box(tmp_path, monkeypatch, capsys):
+    script = _grid_benchmark_script()
+    argv = ["--out-dir", str(tmp_path), "--rows", "3", "--cols", "3", "--betas", "0.5",
+            "--family", "binary", "--max-nodes", "200", "--bp"]
+    assert script.main(argv) == 0
+
+    def shifted(*args, **kwargs):
+        result = compare(*args, **kwargs)
+        result.exact = [Measure(m.scope, m.sizes, m.values + 1.0) for m in result.exact]
+        return result
+
+    monkeypatch.setattr(script, "compare", shifted)
+    assert script.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "exact in boxes: NO" in out
+    assert "error: exact marginal outside a box: binary beta=0.5" in err

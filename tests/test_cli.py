@@ -6,6 +6,7 @@ import pytest
 
 from boxprop import bench as bench_module
 from boxprop import cli as cli_module
+from boxprop import propagation
 from boxprop.cli import main
 from boxprop.factorgraph import parse_fg, write_fg
 from helpers import graph_from, random_tree_graph, triangle_graph
@@ -239,6 +240,23 @@ def test_compare_without_bp_skips_the_exact_oracle(triangle_file, tmp_path, caps
         bench_module.summary_csv(expected.gap_records),
         bench_module.detail_lines(expected.detail_records),
     )
+
+
+def test_compare_bp_says_why_it_skipped_the_bp_rows(tmp_path, capsys, monkeypatch):
+    fg = tmp_path / "grid.fg"
+    run(capsys, "gen", "grid", "--rows", "3", "--cols", "3", "--domain", "2",
+        "--beta", "0.2", "--seed", "3", "--out", str(fg))
+    code, out, err = run(capsys, "compare", "--methods", "subtree", "--bp", "--in", str(fg))
+    assert code == 0 and ",bp," in out and "warning" not in err
+    monkeypatch.setattr(propagation, "VARELIM_BUCKET_CAP", 4)
+    code, out, err = run(capsys, "compare", "--methods", "subtree", "--bp", "--in", str(fg))
+    assert code == 0
+    assert ",bp," not in out and len(out.splitlines()) == 10
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert warnings == [
+        "warning: skipped the bp rows: exact marginals: eliminating variable 0 needs a "
+        "8-entry table (cap 4)"
+    ]
 
 
 def test_bound_lines_equal_compare_details(tmp_path, capsys):

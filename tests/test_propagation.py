@@ -23,13 +23,14 @@ from boxprop.propagation import (
     build_subtree,
     exact_marginals,
 )
-from boxprop.bench import GridSpec, gap, gen_ising_grid, run_method
+from boxprop.bench import GridSpec, gap, gen_ising_grid, gen_ternary_grid, run_method
 from helpers import (
     box_contains,
     graph_from,
     random_connected_graph,
     random_pairwise_graph,
     random_tree_graph,
+    reference_elimination_order,
     scale_factor,
     triangle_graph,
     triangle_graph_k_first,
@@ -622,33 +623,110 @@ def test_varelim_capacity_guard():
         exact_marginals(g, "varelim")
 
 
+def test_varelim_cliques_stay_within_the_cap(monkeypatch):
+    # Every clique is checked once, before its product is built, and every
+    # other table lies on a subset of a checked clique, so no table the engine
+    # multiplies out is larger than the cap.
+    largest = []
+    real = propagation.multiply
+
+    def multiply(a, b):
+        out = real(a, b)
+        largest.append(out.values.size)
+        return out
+
+    monkeypatch.setattr(propagation, "multiply", multiply)
+    rng = np.random.default_rng(61)
+    graphs = [random_connected_graph(rng, max_vars=9, max_domain=4, max_extra=5) for _ in range(40)]
+    successes = 0
+    for cap in (8, 16, 36, 64, 256):
+        monkeypatch.setattr(propagation, "VARELIM_BUCKET_CAP", cap)
+        for g in graphs:
+            largest.clear()
+            try:
+                exact_marginals(g, "varelim")
+                successes += 1
+            except CapacityExceededError:
+                pass
+            assert max(largest, default=0) <= cap
+    assert 0 < successes < 5 * len(graphs)
+
+
 def test_varelim_shares_bucket_eliminations(monkeypatch):
     calls = []
     real = propagation.marginalize_out
     monkeypatch.setattr(
         propagation, "marginalize_out", lambda m, drop: calls.append(drop) or real(m, drop)
     )
-    g = random_tree_graph(np.random.default_rng(55), 100)
+    n = 100
+    g = random_tree_graph(np.random.default_rng(55), n)
     exact_marginals(g, "varelim")
-    # One whole elimination per query makes 9,900 calls here; the memo 716.
-    assert len(calls) <= 1000
+    # One whole elimination per query makes 9,900 calls here. The bucket tree
+    # sums out once per bucket going up, then once per marginal and once per
+    # message coming down: under 3 per variable.
+    assert len(calls) <= 3 * n
 
 
-def test_varelim_capacity_error_names_the_failing_query_bucket(monkeypatch):
-    # On this 5-cycle only query 4, the last one, keeps its own variable in a
-    # 27-entry bucket; every other bucket of every query has at most 18
-    # entries. The earlier queries fill the memo, and the error is the one a
-    # per-query elimination raised.
+def test_varelim_capacity_error_names_the_failing_clique(monkeypatch):
+    # On this 5-cycle the order is [4, 0, 1, 2, 3]. The cliques of buckets 4
+    # and 0 have 12 entries; bucket 1 joins factor (1, 2) with the message
+    # on (1, 3) from bucket 0, an 18-entry clique, the largest of the tree.
     doms = (2, 3, 3, 2, 3)
     edges = [(i, (i + 1) % 5) for i in range(5)]
     g = graph_from([((a, b), (doms[a], doms[b]), np.ones(doms[a] * doms[b])) for a, b in edges])
-    monkeypatch.setattr(propagation, "VARELIM_BUCKET_CAP", 18)
+    assert propagation._elimination_order(g) == [4, 0, 1, 2, 3]
+    monkeypatch.setattr(propagation, "VARELIM_BUCKET_CAP", 17)
     with pytest.raises(
-        CapacityExceededError, match=r"^eliminating variable 1 needs a 27-entry table \(cap 18\)$"
+        CapacityExceededError, match=r"^eliminating variable 1 needs a 18-entry table \(cap 17\)$"
     ):
         exact_marginals(g, "varelim")
-    monkeypatch.setattr(propagation, "VARELIM_BUCKET_CAP", 27)
+    monkeypatch.setattr(propagation, "VARELIM_BUCKET_CAP", 18)
     assert len(exact_marginals(g, "varelim")) == 5
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [
+        # Two components: a triangle and a chain with a unary factor.
+        [
+            ((0, 1), (2, 3), np.arange(1.0, 7.0)),
+            ((1, 2), (3, 2), np.arange(2.0, 8.0)),
+            ((0, 2), (2, 2), (1.0, 3.0, 2.0, 0.5)),
+            ((3, 4), (2, 2), (0.2, 1.0, 4.0, 1.5)),
+            ((4, 5), (2, 3), np.arange(1.0, 7.0) ** 0.5),
+            ((5,), (3,), (1.0, 2.0, 0.25)),
+        ],
+        # One variable with a single unary factor.
+        [((0,), (3,), (3.0, 1.0, 0.5))],
+        # Mixed domains with arity-3 factors.
+        [
+            ((0, 1, 2), (2, 3, 4), np.linspace(0.1, 2.0, 24)),
+            ((2, 3, 4), (4, 2, 3), np.linspace(2.0, 0.3, 24)),
+            ((0, 4), (2, 3), (1.0, 0.5, 2.0, 1.5, 0.7, 1.1)),
+            ((1, 3), (3, 2), (0.9, 1.2, 0.4, 2.2, 1.0, 0.6)),
+            ((3,), (2,), (0.3, 1.7)),
+        ],
+    ],
+    ids=["two-components", "one-variable", "mixed-arity-3"],
+)
+def test_varelim_matches_brute_on_edge_cases(tables):
+    g = graph_from(tables)
+    brute = exact_marginals(g, "brute")
+    ve = exact_marginals(g, "varelim")
+    assert len(ve) == g.num_variables
+    for a, b in zip(brute, ve):
+        assert b.scope == a.scope
+        assert np.abs(a.values - b.values).max() <= 1e-12
+
+
+def test_elimination_order_matches_the_full_rescan():
+    rng = np.random.default_rng(71)
+    graphs = [random_connected_graph(rng, max_vars=12, max_domain=4, max_extra=6) for _ in range(40)]
+    graphs += [random_pairwise_graph(rng, max_vars=12, max_extra=10) for _ in range(20)]
+    graphs += [gen_ising_grid(GridSpec(k, k, 2, 0.2, 5)) for k in (5, 8, 10)]
+    graphs.append(gen_ternary_grid(GridSpec(5, 5, 3, 1.0, 5)))
+    for g in graphs:
+        assert propagation._elimination_order(g) == reference_elimination_order(g)
 
 
 def test_unknown_engine():
