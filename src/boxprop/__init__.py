@@ -11,10 +11,7 @@ from .errors import CapacityExceededError, FgFormatError, ZeroMeasureError
 from .factorgraph import (
     Factor,
     FactorGraph,
-    Variable,
     Violation,
-    graphs_equal,
-    markov_blanket,
     parse_fg,
     validate,
     write_fg,

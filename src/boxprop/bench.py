@@ -203,9 +203,6 @@ def compare(
     budgets: dict[str, int],
     *,
     run_bp: bool = False,
-    bp_tol: float = 1e-9,
-    bp_max_iter: int = 10_000,
-    bp_damping: float = 0.0,
     exact_engine: str | None = "varelim",
 ) -> CompareResult:
     """Run every method for every variable and collect gap/detail records.
@@ -242,7 +239,7 @@ def compare(
             out.exact_error = str(exc)
     if run_bp:
         t0 = perf_counter()
-        out.bp = bp_marginals(g, tol=bp_tol, max_iter=bp_max_iter, damping=bp_damping)
+        out.bp = bp_marginals(g)
         bp_ms = (perf_counter() - t0) * 1e3
         if out.exact is not None:
             for v in range(g.num_variables):

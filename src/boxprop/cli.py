@@ -120,7 +120,7 @@ def _validated_graph(in_path):
 
 
 @cli.command("bound")
-@click.option("--method", type=click.Choice(["subtree", "sawtree"]), required=True)
+@click.option("--method", type=click.Choice(METHODS), required=True)
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True)
 @click.option("--root", type=int, default=None, help="Single root variable; default all.")
 @click.option("--max-nodes", type=NODE_BUDGET, default=DEFAULT_MAX_NODES, show_default=True)

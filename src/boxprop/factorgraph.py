@@ -21,22 +21,13 @@ import numpy as np
 from .errors import FgFormatError
 
 __all__ = [
-    "Variable",
     "Factor",
     "FactorGraph",
     "Violation",
     "parse_fg",
     "write_fg",
     "validate",
-    "markov_blanket",
-    "graphs_equal",
 ]
-
-
-@dataclass(frozen=True)
-class Variable:
-    id: int
-    domain_size: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +46,8 @@ class Factor:
             raise ValueError("factor scope must be nonempty")
         if len(set(scope)) != len(scope):
             raise ValueError(f"factor {self.id}: duplicate variable in scope {scope}")
+        if min(scope) < 0:
+            raise ValueError(f"factor {self.id}: negative variable id in scope {scope}")
         if len(sizes) != len(scope):
             raise ValueError(f"factor {self.id}: scope/sizes length mismatch")
         if any(d < 2 for d in sizes):
@@ -102,9 +95,8 @@ class FactorGraph:
         if missing:
             raise ValueError(f"variable ids must be dense 0-based; missing {sorted(missing)}")
         self.factors: tuple[Factor, ...] = tuple(factors)
-        self.variables: tuple[Variable, ...] = tuple(
-            Variable(i, sizes[i]) for i in range(n)
-        )
+        # Domain size of each variable, by id.
+        self.sizes: tuple[int, ...] = tuple(sizes[i] for i in range(n))
         nb: list[list[int]] = [[] for _ in range(n)]
         for f in factors:
             for v in f.scope:
@@ -113,30 +105,21 @@ class FactorGraph:
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self.sizes)
 
     @property
     def num_factors(self) -> int:
         return len(self.factors)
 
     def domain_size(self, i: int) -> int:
-        return self.variables[i].domain_size
+        return self.sizes[i]
 
     def var_factors(self, i: int) -> tuple[int, ...]:
         """Ids of factors incident to variable ``i``, in ascending order."""
         return self._var_factors[i]
 
     def joint_states(self) -> int:
-        return prod(v.domain_size for v in self.variables)
-
-
-def markov_blanket(g: FactorGraph, i: int) -> set[int]:
-    """All variables co-occurring with ``i`` in at least one factor, minus ``i``."""
-    blanket: set[int] = set()
-    for fid in g.var_factors(i):
-        blanket.update(g.factors[fid].scope)
-    blanket.discard(i)
-    return blanket
+        return prod(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -350,17 +333,3 @@ def write_fg(g: FactorGraph) -> str:
         out.extend(f"{i} {float(x)!r}" for i, x in enumerate(f.table))
     out.append("")
     return "\n".join(out) + "\n"
-
-
-def graphs_equal(a: FactorGraph, b: FactorGraph) -> bool:
-    """Entry-for-entry equality of two graphs (exact table comparison)."""
-    if a.num_variables != b.num_variables or a.num_factors != b.num_factors:
-        return False
-    if any(x.domain_size != y.domain_size for x, y in zip(a.variables, b.variables)):
-        return False
-    for fa, fb in zip(a.factors, b.factors):
-        if fa.scope != fb.scope or fa.sizes != fb.sizes:
-            return False
-        if not np.array_equal(fa.table, fb.table):
-            return False
-    return True

@@ -61,7 +61,7 @@ __all__ = [
 ENUMERATION_CAP = 1 << 20
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Measure:
     """Nonnegative, finite dense table over the joint domain of an ordered scope.
 
@@ -157,17 +157,7 @@ def marginalize_out(m: Measure, drop: Iterable[int]) -> Measure:
     return Measure._new(scope, sizes, np.ravel(summed, order="F"))
 
 
-def _reordered(m: Measure, scope: tuple[int, ...]) -> Measure:
-    if tuple(scope) == m.scope:
-        return m
-    if set(scope) != set(m.scope):
-        raise ValueError(f"scope {scope} is not a permutation of {m.scope}")
-    perm = [m.scope.index(v) for v in scope]
-    nd = m.nd().transpose(perm)
-    return Measure._new(tuple(scope), tuple(m.sizes[p] for p in perm), np.ravel(nd, order="F"))
-
-
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Box:
     """All measures between a pointwise lower and upper bound on one scope."""
 
@@ -187,9 +177,6 @@ class Box:
     @property
     def sizes(self) -> tuple[int, ...]:
         return self.lower.sizes
-
-    def is_degenerate(self) -> bool:
-        return bool(np.array_equal(self.lower.values, self.upper.values))
 
     @classmethod
     def _new(cls, lower: Measure, upper: Measure):
@@ -417,21 +404,15 @@ def bound_sum_product_joint(factor: Factor, keep: int, incoming_joint: Box) -> B
     """Like :func:`bound_sum_product`, but over one joint box on the rest.
 
     The joint box need not factorize over variables; its corners are enumerated
-    directly. For two-variable factors this coincides with
+    directly. Its scope must be the factor's scope without ``keep``, in factor
+    order. For two-variable factors this coincides with
     :func:`bound_sum_product` applied to the same single-variable box.
     """
     if keep not in factor.scope:
         raise ValueError(f"variable {keep} not in factor scope {factor.scope}")
     others = tuple(v for v in factor.scope if v != keep)
-    if set(incoming_joint.scope) != set(others):
-        raise ValueError(
-            f"joint box scope {incoming_joint.scope} must cover {others}"
-        )
     if incoming_joint.scope != others:
-        incoming_joint = Box(
-            _reordered(incoming_joint.lower, others),
-            _reordered(incoming_joint.upper, others),
-        )
+        raise ValueError(f"joint box scope {incoming_joint.scope} must be {others}")
     corners = box_corner_matrix(incoming_joint)
     images = _summed_out_matrix(factor, keep) @ corners.T
     d_keep = factor.sizes[factor.scope.index(keep)]

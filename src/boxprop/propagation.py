@@ -120,7 +120,7 @@ class _Registry:
         n = g.num_variables
         self.num_variables = n
         self.factors = g.factors
-        self.sizes = tuple(g.domain_size(v) for v in range(n))
+        self.sizes = g.sizes
         self.sets: list[MessageSet] = [Simplex(v, d) for v, d in enumerate(self.sizes)]
         self.index: dict[tuple, int] = {}
         self.var_memo: dict[tuple, int] = {}
@@ -462,7 +462,7 @@ def bp_marginals(
         raise ValueError("max_iter must be >= 1")
     if not 0.0 < tol < inf:
         raise ValueError("tol must be positive and finite")
-    size = [g.domain_size(v) for v in range(g.num_variables)]
+    size = g.sizes
     edges: dict[int, list[tuple[int, int]]] = {}
     for f in g.factors:
         for v in f.scope:
@@ -559,9 +559,10 @@ def exact_marginals(g: FactorGraph, engine: str = "brute") -> list[Measure]:
     pass in reverse order gives each variable's marginal from its bucket
     product times its parent's message, and sends each child the same
     product without the child's own message, summed down to that message's
-    scope. The clique of each bucket (the union of its tables' scopes) is
-    checked against the cap once, before its product is built; every later
-    table lies on a subset of a checked clique.
+    scope. Each message is scaled by a power of two, so strong couplings do
+    not overflow. The clique of each bucket (the union of its tables'
+    scopes) is checked against the cap once, before its product is built;
+    every later table lies on a subset of a checked clique.
     """
     if engine == "brute":
         return _brute_marginals(g)
@@ -595,7 +596,7 @@ def _elimination_order(g: FactorGraph) -> list[int]:
     pushed again, and a popped entry whose weight is out of date is skipped.
     """
     n = g.num_variables
-    size_of = [g.domain_size(v) for v in range(n)]
+    size_of = g.sizes
     neighbors: list[set[int]] = [set() for _ in range(n)]
     for f in g.factors:
         for a in f.scope:
@@ -631,7 +632,7 @@ def _bucket_tree_marginals(g: FactorGraph, order: list[int]) -> list[Measure]:
     child's message: a variable stays in each message until its own bucket.
     """
     n = g.num_variables
-    size_of = [g.domain_size(v) for v in range(n)]
+    size_of = g.sizes
     earliest = {v: k for k, v in enumerate(order)}.__getitem__
     bucket: list[list[Measure]] = [[] for _ in range(n)]
     for f in g.factors:
@@ -657,7 +658,7 @@ def _bucket_tree_marginals(g: FactorGraph, order: list[int]) -> list[Measure]:
             clique = _times(clique, up[c])
         msg = marginalize_out(clique, {v})
         if msg.scope:
-            up[v] = msg
+            up[v] = _scaled(msg)
             children[min(msg.scope, key=earliest)].append(v)
     out: list = [None] * n
     for v in reversed(order):
@@ -676,8 +677,19 @@ def _bucket_tree_marginals(g: FactorGraph, order: list[int]) -> list[Measure]:
         for j, c in enumerate(kids):
             rest = _times(prefix[j], suffix[j])
             if rest is not None:
-                down[c] = marginalize_out(rest, set(rest.scope) - set(up[c].scope))
+                down[c] = _scaled(marginalize_out(rest, set(rest.scope) - set(up[c].scope)))
     return out
+
+
+def _scaled(m: Measure) -> Measure:
+    """``m`` times the power of two that brings its largest entry into [0.5, 1).
+
+    Messages stay bounded however strong the couplings, so their products do
+    not overflow. A power-of-two scaling is exact and cancels in the final
+    ``normalize``: without overflow or underflow the marginals keep their bytes.
+    """
+    _, e = np.frexp(m.values.max())
+    return Measure._new(m.scope, m.sizes, np.ldexp(m.values, -e))
 
 
 def _times(a: Measure | None, b: Measure | None) -> Measure | None:

@@ -181,7 +181,7 @@ def reference_elimination_order(g) -> list[int]:
     domain sizes), then connects its live neighbours. The engine's order must
     equal this one.
     """
-    size_of = {v.id: v.domain_size for v in g.variables}
+    size_of = g.sizes
     neighbors: dict[int, set[int]] = {i: set() for i in range(g.num_variables)}
     for f in g.factors:
         for a in f.scope:

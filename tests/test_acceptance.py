@@ -252,8 +252,13 @@ def test_criterion_10_near_linear_scaling():
                 boxprop_sawtree(g, build_saw_tree(g, v, 1000))
             return time.perf_counter() - t0
 
-        small = total_sawtree_time(10, 10)
-        large = total_sawtree_time(20, 20)
+        # Best of 3 passes per size, each on a freshly built graph (an empty
+        # message memo, as in a single run). The sizes alternate, so a spell
+        # of load on the host slows both rather than one.
+        small = large = float("inf")
+        for _ in range(3):
+            small = min(small, total_sawtree_time(10, 10))
+            large = min(large, total_sawtree_time(20, 20))
         assert large < 6.0 * small, f"{large:.2f}s vs {small:.2f}s"
 
 

@@ -719,6 +719,15 @@ def test_varelim_matches_brute_on_edge_cases(tables):
         assert np.abs(a.values - b.values).max() <= 1e-12
 
 
+def test_varelim_survives_strong_couplings():
+    # Unscaled, the messages of this grid overflow and every marginal is NaN.
+    g = gen_ising_grid(GridSpec(10, 10, 2, 5.0, 42))
+    exact = exact_marginals(g, "varelim")
+    for v, m in enumerate(exact):
+        assert np.isfinite(m.values).all()
+        assert box_contains(boxprop_subtree(g, build_subtree(g, v, 50)).box, m.values, 1e-9)
+
+
 def test_elimination_order_matches_the_full_rescan():
     rng = np.random.default_rng(71)
     graphs = [random_connected_graph(rng, max_vars=12, max_domain=4, max_extra=6) for _ in range(40)]
