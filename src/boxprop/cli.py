@@ -226,6 +226,10 @@ def compare_cmd(in_path, methods, max_nodes, run_bp, summary_out, details_out, p
     if result.exact_error:
         # The run still succeeds; only the rows that need exact marginals are missing.
         click.echo(f"warning: skipped the bp rows: exact marginals: {result.exact_error}", err=True)
+    elif run_bp and not result.bp.converged:
+        bp = result.bp
+        click.echo(f"warning: BP did not converge in {bp.iterations} sweeps (residual "
+                   f"{bp.residual!r}); the bp rows are its last sweep's error", err=True)
     _emit(summary_csv(result.gap_records), summary_out)
     if details_out:
         _atomic_write(details_out, detail_lines(result.detail_records))

@@ -12,8 +12,10 @@ elimination) are included as oracles for checking those containment claims.
 Variable elimination gives every marginal from one upward and one downward
 pass over the bucket tree of a greedy elimination order, one message each way
 per tree edge. BP holds its messages in one ``(edges, d)`` array per domain
-size and direction and returns the same bytes as a plain per-edge loop would.
-See :func:`exact_marginals` and :func:`bp_marginals`.
+size and direction, contracts all edges of one table shape and position
+together (one stacked matrix product per contraction and sweep), and returns
+the same bytes as a plain per-edge loop would. See :func:`exact_marginals`
+and :func:`bp_marginals`.
 
 Both methods are one engine, a method being a pair of a walk-tree builder and
 a factor rule. A :class:`SawTree` is flat: int lists of endpoints, parent
@@ -440,15 +442,23 @@ def bp_marginals(
 
     Messages live in one ``(edges, d)`` array per domain size ``d`` and
     direction, one row per factor-variable edge; the edge ``(fid, v)`` has the
-    same row in both directions. Each sweep does the arithmetic of a plain
-    per-edge loop (``np.tensordot`` contractions, 1-D sums and products) on
-    the same operands in the same order, so every belief, ``iterations`` and
+    same row in both directions. A plan built once per call stacks the tables
+    of all factors with the same domain sizes, each slice read in Fortran
+    order as :meth:`Factor.table_nd` reads it; each position of such a stack
+    is one group of edges. A sweep makes one stacked ``np.matmul`` per
+    contraction of a group (one for a pairwise factor, ``arity - 1`` in
+    general) against its gathered source rows and scatters the result into
+    its target rows. The arithmetic is that of a plain per-edge loop
+    (``np.tensordot`` contractions, 1-D sums and products) on the same
+    operands in the same order, so every belief, ``iterations`` and
     ``residual`` equals that loop's bit for bit:
 
-    - factor to variable: the first contraction is the ``np.dot`` that
-      ``np.tensordot`` makes, on the table matrix it would build (made once
-      per edge), later ones (arity 3 and up) are ``np.tensordot``; a unary
-      factor's row is its table, normalized like the others;
+    - factor to variable: each contraction moves the summed axis last and
+      reshapes, as ``np.tensordot`` does (a view where one exists, else a
+      C-order copy), so each slice has the strides the per-edge ``np.dot``
+      saw and BLAS runs the same kernel on it; making an F-ordered slice
+      contiguous instead changes results in the last bit. A unary factor's
+      row is its table, normalized like the others;
     - normalization divides by ``x.sum(axis=1)``, the same pairwise sum per
       row as a 1-D ``sum``;
     - variable to factor (and the final beliefs) multiply gathered rows in
@@ -464,27 +474,32 @@ def bp_marginals(
         raise ValueError("tol must be positive and finite")
     size = g.sizes
     edges: dict[int, list[tuple[int, int]]] = {}
+    by_sizes: dict[tuple[int, ...], list] = {}
     for f in g.factors:
+        by_sizes.setdefault(f.sizes, []).append(f)
         for v in f.scope:
             edges.setdefault(size[v], []).append((f.id, v))
-    # An edge's row within its domain's arrays, and its number over all domains.
     slot = {e: r for es in edges.values() for r, e in enumerate(es)}
-    number = {e: k for k, e in enumerate(e for es in edges.values() for e in es)}
     raw = {d: np.empty((len(es), d)) for d, es in edges.items()}
-    contract: dict[int, list[tuple]] = {d: [] for d in edges}
-    for f in g.factors:
-        nd, k = f.table_nd(), len(f.scope)
-        src = [number[(f.id, u)] for u in f.scope]
-        for pos, v in enumerate(f.scope):
-            d, row = size[v], slot[(f.id, v)]
-            if k == 1:
-                raw[d][row] = nd
-                continue
-            q0, *later = [q for q in range(k - 1, -1, -1) if q != pos]
-            axes = [a for a in range(k) if a != q0]
-            shape = tuple(nd.shape[a] for a in axes)
-            mat = nd.transpose(axes + [q0]).reshape((prod(shape), nd.shape[q0]))
-            contract[d].append((row, mat, shape, src[q0], [(q, src[q]) for q in later]))
+    plan = []
+    for sizes, fs in by_sizes.items():
+        k, n = len(sizes), len(fs)
+        # The flat tables read in Fortran order: each slice has table_nd()'s strides.
+        nd = np.stack([f.table for f in fs]).reshape((n,) + sizes[::-1])
+        nd = nd.transpose((0,) + tuple(range(k, 0, -1)))
+        slots = np.array([[slot[(f.id, v)] for v in f.scope] for f in fs], dtype=np.intp).T
+        if k == 1:
+            raw[sizes[0]][slots[0]] = nd
+            continue
+        for pos in range(k):
+            # One contraction per other axis, highest first, each moving its axis last.
+            steps, dims = [], list(sizes)
+            for q in [q for q in range(k - 1, -1, -1) if q != pos]:
+                rest = dims[:q] + dims[q + 1 :]
+                perm = (0, *[a + 1 for a in range(len(dims)) if a != q], q + 1)
+                steps.append((perm, (n, prod(rest), dims[q]), (n, *rest), dims[q], slots[q]))
+                dims = rest
+            plan.append((raw[sizes[pos]], slots[pos], nd, steps))
     gather = {
         d: _padded([[slot[(o, v)] for o in g.var_factors(v) if o != fid] for fid, v in es], len(es))
         for d, es in edges.items()
@@ -493,14 +508,11 @@ def bp_marginals(
     v2f = {d: x.copy() for d, x in f2v.items()}
     converged = False
     for iterations in range(1, max_iter + 1):
-        rows = [r for x in v2f.values() for r in x]
-        for d, plan in contract.items():
-            out = raw[d]
-            for row, mat, shape, s0, later in plan:
-                cur = np.dot(mat, rows[s0].reshape((-1, 1))).reshape(shape)
-                for q, s in later:
-                    cur = np.tensordot(cur, rows[s], axes=([q], [0]))
-                out[row] = cur
+        for out, target, cur, steps in plan:
+            for perm, mshape, shape, d, s in steps:
+                cur = np.matmul(cur.transpose(perm).reshape(mshape), v2f[d][s][:, :, None])
+                cur = cur.reshape(shape)
+            out[target] = cur
         new_f2v = {d: x / x.sum(axis=1, keepdims=True) for d, x in raw.items()}
         new_v2f = {d: _gathered_products(f2v[d], gather[d]) for d in edges}
         if damping:

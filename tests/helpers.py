@@ -6,6 +6,7 @@ import numpy as np
 
 from boxprop.factorgraph import Factor, FactorGraph
 from boxprop.measure import Box, Measure, MessageSet, Simplex, box_corner_matrix
+from boxprop.propagation import BpResult, _gathered_products, _padded
 
 
 def graph_from(tables):
@@ -203,3 +204,74 @@ def reference_elimination_order(g) -> list[int]:
             neighbors[u].update(live)
             neighbors[u].discard(u)
     return order
+
+
+def reference_bp_marginals(g, tol=1e-9, max_iter=10_000, damping=0.0):
+    """Synchronous loopy BP as a plain per-edge loop, one ``np.dot`` per edge.
+
+    Each factor-to-variable message is the contraction ``np.tensordot`` makes:
+    the first against the table matrix it would build (``np.dot``), later ones
+    (arity 3 and up) by ``np.tensordot`` itself. Normalization, the
+    variable-to-factor products (the engine's own ``_gathered_products``),
+    damping and the residual are those of ``bp_marginals``, whose beliefs,
+    ``iterations``, ``residual`` and ``converged`` must equal this loop's bit
+    for bit.
+    """
+    size = g.sizes
+    edges = {}
+    for f in g.factors:
+        for v in f.scope:
+            edges.setdefault(size[v], []).append((f.id, v))
+    slot = {e: r for es in edges.values() for r, e in enumerate(es)}
+    number = {e: k for k, e in enumerate(e for es in edges.values() for e in es)}
+    raw = {d: np.empty((len(es), d)) for d, es in edges.items()}
+    contract = {d: [] for d in edges}
+    for f in g.factors:
+        nd, k = f.table_nd(), len(f.scope)
+        src = [number[(f.id, u)] for u in f.scope]
+        for pos, v in enumerate(f.scope):
+            d, row = size[v], slot[(f.id, v)]
+            if k == 1:
+                raw[d][row] = nd
+                continue
+            q0, *later = [q for q in range(k - 1, -1, -1) if q != pos]
+            axes = [a for a in range(k) if a != q0]
+            shape = tuple(nd.shape[a] for a in axes)
+            mat = nd.transpose(axes + [q0]).reshape((prod(shape), nd.shape[q0]))
+            contract[d].append((row, mat, shape, src[q0], [(q, src[q]) for q in later]))
+    gather = {
+        d: _padded([[slot[(o, v)] for o in g.var_factors(v) if o != fid] for fid, v in es], len(es))
+        for d, es in edges.items()
+    }
+    f2v = {d: np.full((len(es), d), 1.0 / d) for d, es in edges.items()}
+    v2f = {d: x.copy() for d, x in f2v.items()}
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        rows = [r for x in v2f.values() for r in x]
+        for d, plan in contract.items():
+            for row, mat, shape, s0, later in plan:
+                cur = np.dot(mat, rows[s0].reshape((-1, 1))).reshape(shape)
+                for q, s in later:
+                    cur = np.tensordot(cur, rows[s], axes=([q], [0]))
+                raw[d][row] = cur
+        new_f2v = {d: x / x.sum(axis=1, keepdims=True) for d, x in raw.items()}
+        new_v2f = {d: _gathered_products(f2v[d], gather[d]) for d in edges}
+        if damping:
+            new_f2v = {d: damping * f2v[d] + (1.0 - damping) * x for d, x in new_f2v.items()}
+            new_v2f = {d: damping * v2f[d] + (1.0 - damping) * x for d, x in new_v2f.items()}
+        residual = max(
+            float(np.abs(new[d] - old[d]).max())
+            for new, old in ((new_f2v, f2v), (new_v2f, v2f))
+            for d in edges
+        )
+        f2v, v2f = new_f2v, new_v2f
+        if residual < tol:
+            converged = True
+            break
+    beliefs = {}
+    for d, es in edges.items():
+        variables = sorted({v for _, v in es})
+        idx = _padded([[slot[(fid, v)] for fid in g.var_factors(v)] for v in variables], len(es))
+        for v, b in zip(variables, _gathered_products(f2v[d], idx)):
+            beliefs[v] = Measure((v,), (d,), b)
+    return BpResult([beliefs[v] for v in range(g.num_variables)], converged, iterations, residual)

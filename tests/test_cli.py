@@ -259,6 +259,30 @@ def test_compare_bp_says_why_it_skipped_the_bp_rows(tmp_path, capsys, monkeypatc
     ]
 
 
+def test_compare_bp_warns_when_bp_did_not_converge(tmp_path, capsys, monkeypatch):
+    fg = tmp_path / "grid.fg"
+    run(capsys, "gen", "grid", "--rows", "3", "--cols", "3", "--domain", "2",
+        "--beta", "0.2", "--seed", "3", "--out", str(fg))
+    code, converged_out, err = run(capsys, "compare", "--methods", "subtree", "--bp", "--in", str(fg))
+    assert code == 0 and "warning" not in err
+    bp = propagation.bp_marginals
+    monkeypatch.setattr(bench_module, "bp_marginals", lambda g: bp(g, max_iter=2))
+    code, out, err = run(capsys, "compare", "--methods", "subtree", "--bp", "--in", str(fg))
+    assert code == 0
+    res = bp(parse_fg(fg.read_text()), max_iter=2)
+    assert not res.converged
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert warnings == [
+        f"warning: BP did not converge in 2 sweeps (residual {res.residual!r}); "
+        "the bp rows are its last sweep's error"
+    ]
+
+    def rows(text, method):
+        return [line.split(",")[:3] for line in text.splitlines() if f",{method}," in line]
+
+    assert len(rows(out, "bp")) == 9 and rows(out, "subtree") == rows(converged_out, "subtree")
+
+
 def test_bound_lines_equal_compare_details(tmp_path, capsys):
     fg, details = tmp_path / "g.fg", tmp_path / "details.jsonl"
     fg.write_text(write_fg(bench_module.gen_ising_grid(bench_module.GridSpec(5, 5, 2, 1.0, 42))))
