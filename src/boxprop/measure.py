@@ -237,7 +237,7 @@ def box_corner_matrix(box: Box) -> np.ndarray:
     """
     lower = box.lower.values
     upper = box.upper.values
-    free = np.flatnonzero(upper > lower)
+    free = (upper > lower).nonzero()[0]
     n = int(free.size)
     if n == 0:
         return lower.reshape(1, -1).copy()
@@ -253,24 +253,16 @@ def box_corner_matrix(box: Box) -> np.ndarray:
     return corners
 
 
-def _extreme_matrix(ms: MessageSet) -> np.ndarray:
-    """Extreme points stacked as rows, without wrapping them as Measures."""
-    if isinstance(ms, Simplex):
-        return np.eye(ms.domain_size)
-    return box_corner_matrix(ms)
-
-
 def box_product_same_scope(boxes: Sequence[Box]) -> Box:
     """Product of boxes on one shared scope: bounds multiply pointwise."""
     if not boxes:
         raise ValueError("box_product_same_scope needs at least one box")
-    scope, sizes = boxes[0].scope, boxes[0].sizes
+    first = boxes[0]
+    scope, sizes = first.lower.scope, first.lower.sizes
+    lower, upper = first.lower.values, first.upper.values
     for b in boxes[1:]:
-        if b.scope != scope or b.sizes != sizes:
+        if b.lower.scope != scope or b.lower.sizes != sizes:
             raise ValueError("all boxes must share one scope")
-    lower = boxes[0].lower.values
-    upper = boxes[0].upper.values
-    for b in boxes[1:]:
         lower = lower * b.lower.values
         upper = upper * b.upper.values
     return Box._new(Measure._new(scope, sizes, lower), Measure._new(scope, sizes, upper))
@@ -283,22 +275,21 @@ def box_product_disjoint_sbb(boxes: Sequence[Box]) -> Box:
     are the outer products of the operand bounds. An empty product yields the
     degenerate scalar-1 box on the empty scope.
     """
-    seen: set[int] = set()
-    for b in boxes:
-        overlap = seen & set(b.scope)
-        if overlap:
-            raise ValueError(f"scopes must be pairwise disjoint; {sorted(overlap)} repeat")
-        seen.update(b.scope)
+    scope = tuple(v for b in boxes for v in b.lower.scope)
+    if len(set(scope)) < len(scope):
+        raise ValueError(f"scopes must be pairwise disjoint; {scope} repeats a variable")
+    if not boxes:
+        ones = np.ones(1)
+        return Box._new(Measure._new((), (), ones), Measure._new((), (), ones))
     if len(boxes) == 1:
         return boxes[0]
     # Flat outer products, each entry one product taken in the same order as
     # ``multiply`` would take it (IEEE products commute), so the bytes match.
-    lower = upper = np.ones(1)
-    for b in boxes:
+    lower, upper = boxes[0].lower.values, boxes[0].upper.values
+    for b in boxes[1:]:
         lower = np.multiply.outer(b.lower.values, lower).ravel()
         upper = np.multiply.outer(b.upper.values, upper).ravel()
-    scope = tuple(v for b in boxes for v in b.scope)
-    sizes = tuple(d for b in boxes for d in b.sizes)
+    sizes = tuple(d for b in boxes for d in b.lower.sizes)
     return Box._new(Measure._new(scope, sizes, lower), Measure._new(scope, sizes, upper))
 
 
@@ -379,7 +370,7 @@ def bound_sum_product(
             raise ValueError(f"missing incoming message set for variable {v}")
         ms = incoming[v]
         _check_single_var(ms, v)
-        mat = _extreme_matrix(ms)
+        mat = np.eye(ms.domain_size) if isinstance(ms, Simplex) else box_corner_matrix(ms)
         n_combos *= mat.shape[0]
         if n_combos > ENUMERATION_CAP:
             raise CapacityExceededError(

@@ -115,7 +115,9 @@ class _Registry:
     fid, keep, *child ids)`` to the id of the message sent, a factor's child
     ids following its other scope variables in ascending order. Bipartite node
     ``i`` is variable ``i``, or factor ``i - num_variables``; ``nbrs[i]`` lists
-    its neighbours in ascending id order.
+    its neighbours in ascending id order; ``bit[i]`` is ``1 << i`` for the
+    builders' node-set masks (``N**2 / 16`` bytes for ``N`` nodes). ``plans``
+    maps ``(fid, keep)`` to the other scope variables and their child positions.
     """
 
     def __init__(self, g: FactorGraph):
@@ -127,9 +129,20 @@ class _Registry:
         self.index: dict[tuple, int] = {}
         self.var_memo: dict[tuple, int] = {}
         self.factor_memo: dict[tuple, int] = {}
+        self.plans: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self.nbrs: tuple[tuple[int, ...], ...] = tuple(
             tuple(n + fid for fid in g.var_factors(v)) for v in range(n)
         ) + tuple(tuple(sorted(f.scope)) for f in g.factors)
+        self.bit = [1 << i for i in range(len(self.nbrs))]
+
+    @cached_property
+    def full(self) -> list[Box]:
+        """The [0,1] box per variable; one domain size shares arrays, which no kernel writes."""
+        arrays = {d: (np.zeros(d), np.ones(d)) for d in set(self.sizes)}
+        return [
+            Box._new(*(Measure._new((v,), (d,), a) for a in arrays[d]))
+            for v, d in enumerate(self.sizes)
+        ]
 
     def intern(self, box: Box) -> int:
         """The id of ``box``, adding it if no box with its bytes has one yet."""
@@ -160,48 +173,38 @@ def _registry(g: FactorGraph) -> _Registry:
 
 
 def _variable_message(reg: _Registry, v: int, ids: tuple[int, ...]) -> int:
-    """Id of the message variable ``v`` sends, given its children's message ids.
+    """Id of the message variable ``v`` sends, computed on a variable-memo miss.
 
-    A simplex child absorbs the product; no children send the unit box.
+    ``ids`` holds its children's ids, none of them ``v``'s simplex (which
+    absorbs the product); no children send the unit box.
     """
-    if v in ids:
-        return v
-    key = (v,) + ids
-    m = reg.var_memo.get(key)
-    if m is None:
-        if ids:
-            box = box_product_same_scope([reg.sets[i] for i in ids])
-        else:
-            box = unit_box(v, reg.sizes[v])
-        m = reg.var_memo[key] = reg.intern(box)
+    box = box_product_same_scope([reg.sets[i] for i in ids]) if ids else unit_box(v, reg.sizes[v])
+    m = reg.var_memo[(v,) + ids] = reg.intern(box)
     return m
 
 
 def _factor_message(reg: _Registry, rule: str, fid: int, keep: int, ids: tuple[int, ...]) -> int:
-    """Id of the box factor ``fid`` sends to ``keep`` under ``rule``.
+    """Id of the box factor ``fid`` sends to ``keep`` under ``rule``, computed on a miss.
 
-    ``ids`` holds the message sets of the other scope variables, in ascending
-    variable order. The ``JOINT`` rule encloses them in one joint box (a
-    simplex becomes the [0,1] box on its variable, the loosest box containing
-    it) and enumerates its corners; the ``FACTORIZED`` rule enumerates each
-    set's extreme points separately.
+    ``ids`` holds the message sets of the other scope variables in ascending
+    variable order; the pair's plan reads them in scope order. The ``JOINT``
+    rule encloses them in one joint box (a simplex becomes the registry's [0,1]
+    box on its variable) and enumerates its corners; the ``FACTORIZED`` rule
+    enumerates each set's extreme points separately.
     """
-    key = (rule, fid, keep) + ids
-    m = reg.factor_memo.get(key)
-    if m is None:
-        f = reg.factors[fid]
-        others = [v for v in sorted(f.scope) if v != keep]
-        incoming = {v: reg.sets[i] for v, i in zip(others, ids)}
-        if rule == JOINT:
-            boxes = [
-                full_box(v, reg.sizes[v]) if isinstance(incoming[v], Simplex) else incoming[v]
-                for v in f.scope
-                if v != keep
-            ]
-            box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
-        else:
-            box = bound_sum_product(f, keep, incoming)
-        m = reg.factor_memo[key] = reg.intern(box)
+    f, sets = reg.factors[fid], reg.sets
+    plan = reg.plans.get((fid, keep))
+    if plan is None:
+        others = tuple(v for v in f.scope if v != keep)
+        plan = reg.plans[fid, keep] = (others, tuple(map(sorted(others).index, others)))
+    others, order = plan
+    if rule == JOINT:
+        n, full = reg.num_variables, reg.full
+        boxes = [full[i] if i < n else sets[i] for i in map(ids.__getitem__, order)]
+        box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
+    else:
+        box = bound_sum_product(f, keep, {v: sets[ids[p]] for v, p in zip(others, order)})
+    m = reg.factor_memo[(rule, fid, keep) + ids] = reg.intern(box)
     return m
 
 
@@ -214,18 +217,6 @@ class BoundResult:
     method: str
     nodes_used: int
     elapsed: float
-
-
-def _finalize_root(reg: _Registry, root: int, ids: tuple[int, ...]) -> Box:
-    """Combine the root's incoming message ids into the final belief box.
-
-    If there are none, or any is a whole simplex, the belief is vacuous and the
-    [0,1] box is returned; otherwise the box product of the incoming boxes is
-    normalized corner by corner and enclosed in its smallest bounding box.
-    """
-    if not ids or root in ids:
-        return full_box(root, reg.sizes[root])
-    return normalized_corner_box(box_product_same_scope([reg.sets[i] for i in ids]))
 
 
 # ``SawTree.kind`` codes index ``_KINDS``; from ``_CYCLE`` up a walk is cut off.
@@ -290,9 +281,15 @@ def _propagate(reg: _Registry, t: SawTree, rule: str) -> Box:
     Walks are visited in reverse breadth-first order, so every child's message
     id is known before its parent's. A cut-off walk sends the simplex on the
     variable it reaches: its endpoint, or its parent's when it ends at a factor.
+    A variable with a simplex child sends its own simplex. Memo hits are read
+    here; only a miss calls the message functions. The root's belief is the
+    vacuous [0,1] box when it has no children or one sends a simplex; else the
+    product of its incoming boxes is normalized corner by corner and enclosed
+    in its smallest bounding box.
     """
     n = reg.num_variables
     end, prev, kind, first = t.end, t.prev, t.kind, t.first
+    var_hit, factor_hit = reg.var_memo.get, reg.factor_memo.get
     msg = [0] * len(end)
     for i in range(len(end) - 1, 0, -1):
         u = end[i]
@@ -300,11 +297,18 @@ def _propagate(reg: _Registry, t: SawTree, rule: str) -> Box:
             msg[i] = u if u < n else prev[i]
             continue
         ids = tuple(msg[first[i] : first[i + 1]])
-        if u < n:
-            msg[i] = _variable_message(reg, u, ids)
+        if u >= n:
+            m = factor_hit((rule, u - n, prev[i]) + ids)
+            msg[i] = _factor_message(reg, rule, u - n, prev[i], ids) if m is None else m
+        elif u in ids:
+            msg[i] = u
         else:
-            msg[i] = _factor_message(reg, rule, u - n, prev[i], ids)
-    return _finalize_root(reg, t.root, tuple(msg[first[0] : first[1]]))
+            m = var_hit((u,) + ids)
+            msg[i] = _variable_message(reg, u, ids) if m is None else m
+    ids, root = tuple(msg[first[0] : first[1]]), t.root
+    if not ids or root in ids:
+        return full_box(root, reg.sizes[root])
+    return normalized_corner_box(box_product_same_scope([reg.sets[i] for i in ids]))
 
 
 def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
@@ -321,10 +325,11 @@ def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
         raise ValueError("max_nodes must be >= 1")
     if not 0 <= root < g.num_variables:
         raise ValueError(f"root {root} is not a variable of the graph")
-    nbrs = _registry(g).nbrs
+    reg = _registry(g)
+    nbrs, bit = reg.nbrs, reg.bit
     end, prev, kind, first = [root], [-1], [_ROOT], []
     # Each walk's node set as a bitmask over bipartite ids.
-    on_walk = [1 << root]
+    on_walk = [bit[root]]
     count = 1
     for i, u in enumerate(end):
         start = len(end)
@@ -337,10 +342,10 @@ def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
                 continue
             end.append(w)
             prev.append(u)
-            on_walk.append(mask | 1 << w)
+            on_walk.append(mask | bit[w])
             if count < max_nodes:
                 count += 1
-                kind.append(_CYCLE if mask >> w & 1 else _INNER)
+                kind.append(_CYCLE if mask & bit[w] else _INNER)
             else:
                 kind.append(_TRUNCATED)
         if i and len(end) == start:
@@ -365,10 +370,11 @@ def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
         raise ValueError("max_nodes must be >= 1")
     if not 0 <= root < g.num_variables:
         raise ValueError(f"root {root} is not a variable of the graph")
-    nbrs = _registry(g).nbrs
+    reg = _registry(g)
+    nbrs, bit = reg.nbrs, reg.bit
     end, prev, kind, first = [root], [-1], [_ROOT], []
     # The tree's node set as one bitmask over bipartite ids.
-    in_tree = 1 << root
+    in_tree = bit[root]
     count = 1
     for i, u in enumerate(end):
         start = len(end)
@@ -381,9 +387,9 @@ def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
                 continue
             end.append(w)
             prev.append(u)
-            if count < max_nodes and not in_tree >> w & 1:
+            if count < max_nodes and not in_tree & bit[w]:
                 count += 1
-                in_tree |= 1 << w
+                in_tree |= bit[w]
                 kind.append(_INNER)
             else:
                 kind.append(_TRUNCATED)
@@ -462,7 +468,8 @@ def bp_marginals(
     - normalization divides by ``x.sum(axis=1)``, the same pairwise sum per
       row as a 1-D ``sum``;
     - variable to factor (and the final beliefs) multiply gathered rows in
-      ``var_factors`` order, padded with a row of ones (``x * 1.0 == x``);
+      ``var_factors`` order, padded with a row of ones made once per call
+      (``x * 1.0 == x``);
     - damping and the residual, a max of absolute differences, are array
       operations; a max is exact in any order.
     """
@@ -504,6 +511,7 @@ def bp_marginals(
         d: _padded([[slot[(o, v)] for o in g.var_factors(v) if o != fid] for fid, v in es], len(es))
         for d, es in edges.items()
     }
+    padded = {d: np.ones((len(es) + 1, d)) for d, es in edges.items()}
     f2v = {d: np.full((len(es), d), 1.0 / d) for d, es in edges.items()}
     v2f = {d: x.copy() for d, x in f2v.items()}
     converged = False
@@ -514,7 +522,7 @@ def bp_marginals(
                 cur = cur.reshape(shape)
             out[target] = cur
         new_f2v = {d: x / x.sum(axis=1, keepdims=True) for d, x in raw.items()}
-        new_v2f = {d: _gathered_products(f2v[d], gather[d]) for d in edges}
+        new_v2f = {d: _gathered_products(f2v[d], gather[d], padded[d]) for d in edges}
         if damping:
             new_f2v = {d: damping * f2v[d] + (1.0 - damping) * x for d, x in new_f2v.items()}
             new_v2f = {d: damping * v2f[d] + (1.0 - damping) * x for d, x in new_v2f.items()}
@@ -531,7 +539,7 @@ def bp_marginals(
     for d, es in edges.items():
         variables = sorted({v for _, v in es})
         idx = _padded([[slot[(fid, v)] for fid in g.var_factors(v)] for v in variables], len(es))
-        for v, b in zip(variables, _gathered_products(f2v[d], idx)):
+        for v, b in zip(variables, _gathered_products(f2v[d], idx, padded[d])):
             beliefs[v] = Measure((v,), (d,), b)
     return BpResult([beliefs[v] for v in range(g.num_variables)], converged, iterations, residual)
 
@@ -542,15 +550,16 @@ def _padded(lists: list[list[int]], pad: int) -> np.ndarray:
     return np.array([r + [pad] * (width - len(r)) for r in lists], dtype=np.intp)
 
 
-def _gathered_products(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _gathered_products(rows: np.ndarray, idx: np.ndarray, padded: np.ndarray) -> np.ndarray:
     """Normalized products of the ``rows`` each row of ``idx`` names, in its order.
 
-    An index equal to ``len(rows)`` names a row of ones, which pads ``idx``.
+    ``rows`` is copied into ``padded``, whose extra last row of ones is named
+    by the index ``len(rows)``, which pads ``idx``.
     """
-    rows = np.vstack((rows, np.ones(rows.shape[1])))
-    p = rows[idx[:, 0]]
+    padded[:-1] = rows
+    p = padded.take(idx[:, 0], axis=0)
     for c in range(1, idx.shape[1]):
-        p = p * rows[idx[:, c]]
+        p = p * padded.take(idx[:, c], axis=0)
     return p / p.sum(axis=1, keepdims=True)
 
 

@@ -5,8 +5,20 @@ from math import prod
 import numpy as np
 
 from boxprop.factorgraph import Factor, FactorGraph
-from boxprop.measure import Box, Measure, MessageSet, Simplex, box_corner_matrix
-from boxprop.propagation import BpResult, _gathered_products, _padded
+from boxprop.measure import (
+    Box,
+    Measure,
+    MessageSet,
+    Simplex,
+    bound_sum_product,
+    bound_sum_product_joint,
+    box_corner_matrix,
+    box_product_disjoint_sbb,
+    box_product_same_scope,
+    full_box,
+    unit_box,
+)
+from boxprop.propagation import JOINT, BpResult, _padded
 
 
 def graph_from(tables):
@@ -174,6 +186,51 @@ def smallest_bounding_box(points: list[Measure]) -> Box:
     )
 
 
+def reference_variable_message(reg, v, ids):
+    """Variable message glue as a plain lookup-then-compute, for the engine to match.
+
+    Checks the simplex rule and the memo itself, and multiplies the children's
+    sets with the public kernel on a miss; no children send the unit box.
+    """
+    if v in ids:
+        return v
+    key = (v,) + ids
+    m = reg.var_memo.get(key)
+    if m is None:
+        if ids:
+            box = box_product_same_scope([reg.sets[i] for i in ids])
+        else:
+            box = unit_box(v, reg.sizes[v])
+        m = reg.var_memo[key] = reg.intern(box)
+    return m
+
+
+def reference_factor_message(reg, rule, fid, keep, ids):
+    """Factor message glue without plans or cached boxes, for the engine to match.
+
+    The other scope variables are sorted afresh to pair them with ``ids``, an
+    ``incoming`` dict maps each to its set, and under the joint rule each
+    simplex child becomes a fresh :func:`full_box` before the public kernels run.
+    """
+    key = (rule, fid, keep) + ids
+    m = reg.factor_memo.get(key)
+    if m is None:
+        f = reg.factors[fid]
+        others = [v for v in sorted(f.scope) if v != keep]
+        incoming = {v: reg.sets[i] for v, i in zip(others, ids)}
+        if rule == JOINT:
+            boxes = [
+                full_box(v, reg.sizes[v]) if isinstance(incoming[v], Simplex) else incoming[v]
+                for v in f.scope
+                if v != keep
+            ]
+            box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
+        else:
+            box = bound_sum_product(f, keep, incoming)
+        m = reg.factor_memo[key] = reg.intern(box)
+    return m
+
+
 def reference_elimination_order(g) -> list[int]:
     """Greedy min-weight elimination order by a full rescan at every step.
 
@@ -212,7 +269,7 @@ def reference_bp_marginals(g, tol=1e-9, max_iter=10_000, damping=0.0):
     Each factor-to-variable message is the contraction ``np.tensordot`` makes:
     the first against the table matrix it would build (``np.dot``), later ones
     (arity 3 and up) by ``np.tensordot`` itself. Normalization, the
-    variable-to-factor products (the engine's own ``_gathered_products``),
+    variable-to-factor products (padded with a fresh row of ones each call),
     damping and the residual are those of ``bp_marginals``, whose beliefs,
     ``iterations``, ``residual`` and ``converged`` must equal this loop's bit
     for bit.
@@ -255,7 +312,7 @@ def reference_bp_marginals(g, tol=1e-9, max_iter=10_000, damping=0.0):
                     cur = np.tensordot(cur, rows[s], axes=([q], [0]))
                 raw[d][row] = cur
         new_f2v = {d: x / x.sum(axis=1, keepdims=True) for d, x in raw.items()}
-        new_v2f = {d: _gathered_products(f2v[d], gather[d]) for d in edges}
+        new_v2f = {d: _gathered(f2v[d], gather[d]) for d in edges}
         if damping:
             new_f2v = {d: damping * f2v[d] + (1.0 - damping) * x for d, x in new_f2v.items()}
             new_v2f = {d: damping * v2f[d] + (1.0 - damping) * x for d, x in new_v2f.items()}
@@ -272,6 +329,18 @@ def reference_bp_marginals(g, tol=1e-9, max_iter=10_000, damping=0.0):
     for d, es in edges.items():
         variables = sorted({v for _, v in es})
         idx = _padded([[slot[(fid, v)] for fid in g.var_factors(v)] for v in variables], len(es))
-        for v, b in zip(variables, _gathered_products(f2v[d], idx)):
+        for v, b in zip(variables, _gathered(f2v[d], idx)):
             beliefs[v] = Measure((v,), (d,), b)
     return BpResult([beliefs[v] for v in range(g.num_variables)], converged, iterations, residual)
+
+
+def _gathered(rows, idx):
+    """Normalized products of the ``rows`` each row of ``idx`` names, in its order.
+
+    An index equal to ``len(rows)`` names a row of ones, which pads ``idx``.
+    """
+    rows = np.vstack((rows, np.ones(rows.shape[1])))
+    p = rows[idx[:, 0]]
+    for c in range(1, idx.shape[1]):
+        p = p * rows[idx[:, c]]
+    return p / p.sum(axis=1, keepdims=True)

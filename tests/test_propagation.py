@@ -7,8 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from boxprop import propagation
-from boxprop.errors import CapacityExceededError
+from boxprop import measure, propagation
+from boxprop.errors import CapacityExceededError, ZeroMeasureError
 from boxprop.factorgraph import validate
 from boxprop.measure import Box, Measure
 from boxprop.propagation import (
@@ -32,6 +32,8 @@ from helpers import (
     random_tree_graph,
     reference_bp_marginals,
     reference_elimination_order,
+    reference_factor_message,
+    reference_variable_message,
     scale_factor,
     triangle_graph,
     triangle_graph_k_first,
@@ -522,6 +524,127 @@ def test_memo_shared_by_concurrent_roots(monkeypatch):
         sys.setswitchinterval(interval)
     assert results == [expected] * 4
     assert_interning_is_one_to_one(propagation._REGISTRIES[g])
+
+
+def memo_bytes(reg):
+    """Every memo entry: its key and the scope and bytes of the box its id names."""
+    def entry(i):
+        box = reg.sets[i]
+        return box.scope, box.lower.values.tobytes(), box.upper.values.tobytes()
+
+    return {key: entry(i) for memo in (reg.var_memo, reg.factor_memo) for key, i in memo.items()}
+
+
+def root_outcomes(g):
+    """Each root's box bytes or error type: walk trees (joint rule), then subtrees."""
+    out = []
+    methods = ((build_saw_tree, boxprop_sawtree, 60), (build_subtree, boxprop_subtree, 25))
+    for build, bound, budget in methods:
+        for r in range(g.num_variables):
+            try:
+                box = bound(g, build(g, r, budget)).box
+                out.append(box.lower.values.tobytes() + box.upper.values.tobytes())
+            except (CapacityExceededError, ZeroMeasureError) as e:
+                out.append(type(e))
+    return out
+
+
+def glue_outcomes(monkeypatch, g):
+    """Root outcomes of the engine on ``g`` and of the reference glue on a copy.
+
+    Both runs start on fresh registries, so equal outcomes and byte-equal memo
+    entries under equal keys (and so equal ids) show that the engine's message
+    glue computes what the reference glue computes, miss for miss.
+    """
+    engine = root_outcomes(g)
+    copy = fresh_copy(g)
+    with monkeypatch.context() as m:
+        m.setattr(propagation, "_variable_message", reference_variable_message)
+        m.setattr(propagation, "_factor_message", reference_factor_message)
+        reference = root_outcomes(copy)
+    assert engine == reference
+    memo = memo_bytes(propagation._REGISTRIES[g])
+    assert memo == memo_bytes(propagation._REGISTRIES[copy])
+    assert {key[0] for key in memo} >= {JOINT, FACTORIZED}
+    return engine
+
+
+def test_message_glue_equals_the_reference(monkeypatch):
+    # A cap of 2**12 corners keeps every corner matrix small; ternary 4-ary
+    # factors exceed it on some roots, and a cap of 8 on many more.
+    rng = np.random.default_rng(26)
+    errors = Counter()
+    for cap, count in ((1 << 12, 100), (8, 10)):
+        monkeypatch.setattr(measure, "ENUMERATION_CAP", cap)
+        graphs = 0
+        while graphs < count:
+            g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=4)
+            if all(len(f.scope) > 1 for f in g.factors):
+                continue
+            graphs += 1
+            errors.update((cap, o) for o in glue_outcomes(monkeypatch, g) if isinstance(o, type))
+    assert errors[1 << 12, CapacityExceededError] > 0
+    assert errors[8, CapacityExceededError] > 0
+    monkeypatch.undo()
+    # A zero table leaves no normalizable image through its factor.
+    g = graph_from([
+        ((0, 1), (2, 3), rng.uniform(0.1, 2.0, 6)),
+        ((1, 2, 3), (3, 2, 2), np.zeros(12)),
+        ((0,), (2,), [0.5, 1.5]),
+        ((2, 3), (2, 2), rng.uniform(0.1, 2.0, 4)),
+    ])
+    assert ZeroMeasureError in glue_outcomes(monkeypatch, g)
+
+
+TRACED_KERNELS = {
+    "bound_sum_product_joint": 3,
+    "bound_sum_product": 3,
+    "box_product_disjoint_sbb": 1,
+    "box_product_same_scope": 1,
+    "normalized_corner_box": 1,
+}
+
+
+def test_engine_calls_each_traced_kernel_once_per_miss(monkeypatch):
+    # The benchmark's tracer wraps these five names in ``propagation`` and
+    # unpacks their positional arguments, so the engine must call each through
+    # that namespace, positionally, once per miss or non-vacuous root.
+    calls = Counter()
+
+    def counted(name, kernel, arity):
+        def wrapper(*args):
+            assert len(args) == arity
+            calls[name] += 1
+            return kernel(*args)
+
+        return wrapper
+
+    for name, arity in TRACED_KERNELS.items():
+        monkeypatch.setattr(propagation, name, counted(name, getattr(propagation, name), arity))
+    rng = np.random.default_rng(27)
+    vacuous_seen = 0
+    for _ in range(20):
+        g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=3)
+        calls.clear()
+        roots = 0
+        for build, bound in ((build_saw_tree, boxprop_sawtree), (build_subtree, boxprop_subtree)):
+            for budget in (3, 60):
+                for r in range(g.num_variables):
+                    box = bound(g, build(g, r, budget)).box
+                    vacuous = not box.lower.values.any() and (box.upper.values == 1.0).all()
+                    roots += not vacuous
+                    vacuous_seen += vacuous
+        reg = propagation._REGISTRIES[g]
+        rules = Counter(key[0] for key in reg.factor_memo)
+        products = sum(len(key) > 1 for key in reg.var_memo)
+        assert calls == Counter({
+            "bound_sum_product_joint": rules[JOINT],
+            "bound_sum_product": rules[FACTORIZED],
+            "box_product_disjoint_sbb": rules[JOINT],
+            "box_product_same_scope": products + roots,
+            "normalized_corner_box": roots,
+        })
+    assert vacuous_seen > 0
 
 
 # ------------------------------------------------------------------ BP
