@@ -11,9 +11,8 @@ Graphs are immutable after construction and safe for concurrent shared reads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from math import prod
+from math import isfinite, prod
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -118,9 +117,6 @@ class FactorGraph:
         """Ids of factors incident to variable ``i``, in ascending order."""
         return self._var_factors[i]
 
-    def joint_states(self) -> int:
-        return prod(self.sizes)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -142,39 +138,29 @@ def validate(g: FactorGraph) -> list[Violation]:
     would make meaningless. The positivity condition requires, for every
     factor, every scope variable ``i`` and every joint assignment of the
     remaining scope variables, that the sum of the table over ``x_i`` is
-    strictly positive. It guarantees that normalization never divides by zero
-    during propagation.
+    strictly positive. A factor then sends a nonzero message whenever its
+    incoming messages are nonzero, but the messages into one variable can
+    still multiply to zero (see :func:`boxprop.propagation.bp_marginals`).
 
     Violations are returned, not raised; an empty list means the graph passed.
     """
     out: list[Violation] = []
 
+    # Every factor has a variable, so all variables reached means all factors.
     seen_v = {0}
-    seen_f: set[int] = set()
-    queue: deque[tuple[str, int]] = deque([("v", 0)])
-    while queue:
-        kind, idx = queue.popleft()
-        if kind == "v":
-            for fid in g.var_factors(idx):
-                if fid not in seen_f:
-                    seen_f.add(fid)
-                    queue.append(("f", fid))
-        else:
-            for v in g.factors[idx].scope:
-                if v not in seen_v:
-                    seen_v.add(v)
-                    queue.append(("v", v))
-    if len(seen_v) != g.num_variables or len(seen_f) != g.num_factors:
-        out.append(
-            Violation(
-                "disconnected",
-                None,
-                None,
-                None,
-                f"graph is disconnected: reached {len(seen_v)}/{g.num_variables} variables "
-                f"and {len(seen_f)}/{g.num_factors} factors from variable 0",
-            )
+    stack = [0]
+    while stack:
+        for fid in g.var_factors(stack.pop()):
+            new = set(g.factors[fid].scope) - seen_v
+            seen_v |= new
+            stack.extend(new)
+    if len(seen_v) != g.num_variables:
+        seen_f = sum(f.scope[0] in seen_v for f in g.factors)
+        message = (
+            f"graph is disconnected: reached {len(seen_v)}/{g.num_variables} variables "
+            f"and {seen_f}/{g.num_factors} factors from variable 0"
         )
+        out.append(Violation("disconnected", None, None, None, message))
 
     for f in g.factors:
         nd = f.table_nd()
@@ -194,6 +180,8 @@ def validate(g: FactorGraph) -> list[Violation]:
             continue
         for pos, v in enumerate(f.scope):
             summed = nd.sum(axis=pos)
+            if summed.min() > 0.0:
+                continue
             rest = tuple(u for u in f.scope if u != v)
             for assignment in np.argwhere(~(summed > 0.0)):
                 out.append(
@@ -304,7 +292,7 @@ def parse_fg(source: str | TextIO) -> FactorGraph:
                 value = float(tokens[1])
             except ValueError:
                 raise FgFormatError(lineno, f"bad table value {tokens[1]!r}") from None
-            if not np.isfinite(value):
+            if not isfinite(value):
                 raise FgFormatError(lineno, f"table value must be finite, got {value}")
             if value < 0.0:
                 raise FgFormatError(lineno, f"table value must be nonnegative, got {value}")

@@ -20,6 +20,10 @@ table per number of free states (at most 20, one per count the cap allows;
 the table for ``f`` free states is ``2**f * f`` bytes, at most 1/8 of the
 corner matrix built from it).
 
+:func:`multiply` and :func:`marginalize_out` (the exact oracles' algebra)
+work on reshaped views of flat values: one IEEE product per entry, and one
+``np.add.reduce`` over the Fortran-order view per sum.
+
 Extreme-point enumeration is exponential in the number of free states, so
 every enumerating operation is capped at ``ENUMERATION_CAP`` combinations and
 raises :class:`CapacityExceededError` beyond that.
@@ -44,7 +48,6 @@ __all__ = [
     "Box",
     "Simplex",
     "MessageSet",
-    "scalar_measure",
     "normalize",
     "multiply",
     "marginalize_out",
@@ -104,10 +107,6 @@ class Measure:
         return m
 
 
-def scalar_measure(value: float = 1.0) -> Measure:
-    return Measure((), (), np.array([value]))
-
-
 def normalize(m: Measure) -> Measure:
     """Rescale to total mass 1; raises :class:`ZeroMeasureError` on zero mass."""
     z = m.values.sum()
@@ -116,29 +115,31 @@ def normalize(m: Measure) -> Measure:
     return Measure._new(m.scope, m.sizes, m.values / z)
 
 
-def _aligned(m: Measure, scope: tuple[int, ...]) -> np.ndarray:
-    """ndarray with axes following ``scope``, singleton where a variable is absent."""
-    present = [v for v in scope if v in m.scope]
-    perm = [m.scope.index(v) for v in present]
-    nd = m.nd().transpose(perm)
-    missing = tuple(k for k, v in enumerate(scope) if v not in m.scope)
-    return np.expand_dims(nd, axis=missing) if missing else nd
-
-
 def multiply(a: Measure, b: Measure) -> Measure:
     """Pointwise product under the natural embedding into the union scope.
 
     The result scope is ``a``'s scope followed by ``b``'s new variables, in
-    order. Shared variables must agree on domain size.
+    order. Shared variables must agree on domain size. ``a``'s values get unit
+    axes for the new variables; ``b``'s axes are put in result order.
     """
+    scope, sizes = a.scope, a.sizes
+    at = []  # result axis of each of b's variables
     for v, d in zip(b.scope, b.sizes):
-        if v in a.scope and a.sizes[a.scope.index(v)] != d:
-            raise ValueError(f"domain mismatch for variable {v}")
-    scope = a.scope + tuple(v for v in b.scope if v not in a.scope)
-    size_of = dict(zip(a.scope, a.sizes)) | dict(zip(b.scope, b.sizes))
-    sizes = tuple(size_of[v] for v in scope)
-    out = _aligned(a, scope) * _aligned(b, scope)
-    return Measure._new(scope, sizes, np.ravel(out, order="F"))
+        if v in scope:
+            k = scope.index(v)
+            if sizes[k] != d:
+                raise ValueError(f"domain mismatch for variable {v}")
+        else:
+            k = len(scope)
+            scope += (v,)
+            sizes += (d,)
+        at.append(k)
+    shape = [1] * len(scope)
+    for k, d in zip(at, b.sizes):
+        shape[k] = d
+    bn = b.nd().transpose(sorted(range(len(at)), key=at.__getitem__)).reshape(shape)
+    an = a.values.reshape(a.sizes + (1,) * (len(scope) - len(a.scope)), order="F")
+    return Measure._new(scope, sizes, (an * bn).ravel(order="F"))
 
 
 def marginalize_out(m: Measure, drop: Iterable[int]) -> Measure:
@@ -150,11 +151,10 @@ def marginalize_out(m: Measure, drop: Iterable[int]) -> Measure:
     if not drop:
         return Measure._new(m.scope, m.sizes, m.values.copy())
     axes = tuple(k for k, v in enumerate(m.scope) if v in drop)
-    keep = tuple(k for k, v in enumerate(m.scope) if v not in drop)
-    summed = m.nd().sum(axis=axes)
-    scope = tuple(m.scope[k] for k in keep)
-    sizes = tuple(m.sizes[k] for k in keep)
-    return Measure._new(scope, sizes, np.ravel(summed, order="F"))
+    summed = np.add.reduce(m.nd(), axis=axes)
+    scope = tuple(v for v in m.scope if v not in drop)
+    sizes = tuple(d for v, d in zip(m.scope, m.sizes) if v not in drop)
+    return Measure._new(scope, sizes, summed.ravel(order="F"))
 
 
 @dataclass(eq=False, slots=True)

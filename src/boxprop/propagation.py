@@ -49,14 +49,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import inf, prod
+from math import frexp, inf, prod
 from threading import Lock
 from time import perf_counter
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .errors import CapacityExceededError
+from .errors import CapacityExceededError, ZeroMeasureError
 from .factorgraph import FactorGraph
 from .measure import (
     Box,
@@ -72,7 +72,6 @@ from .measure import (
     multiply,
     normalize,
     normalized_corner_box,
-    scalar_measure,
     unit_box,
 )
 
@@ -431,6 +430,7 @@ class BpResult:
     residual: float
 
 
+@np.errstate(invalid="raise")
 def bp_marginals(
     g: FactorGraph,
     tol: float = 1e-9,
@@ -442,9 +442,10 @@ def bp_marginals(
     Messages are normalized after every update; convergence is declared when
     the largest componentwise message change in a sweep drops below ``tol``.
     Non-convergence within ``max_iter`` sweeps is reported, not raised.
-    Requires a graph that passes validation (positivity keeps messages
-    strictly positive, so normalization never divides by zero), ``max_iter
-    >= 1`` and a positive, finite ``tol``.
+    Requires a graph that passes validation, ``max_iter >= 1`` and a
+    positive, finite ``tol``. Positivity does not keep the messages into a
+    variable from multiplying to zero (unary factors ``[1, 0]`` and ``[0, 1]``
+    on it): such a ``0 / 0`` raises :class:`ZeroMeasureError` naming it.
 
     Messages live in one ``(edges, d)`` array per domain size ``d`` and
     direction, one row per factor-variable edge; the edge ``(fid, v)`` has the
@@ -487,6 +488,7 @@ def bp_marginals(
         for v in f.scope:
             edges.setdefault(size[v], []).append((f.id, v))
     slot = {e: r for es in edges.values() for r, e in enumerate(es)}
+    owner = {d: [v for _, v in es] for d, es in edges.items()}
     raw = {d: np.empty((len(es), d)) for d, es in edges.items()}
     plan = []
     for sizes, fs in by_sizes.items():
@@ -521,8 +523,8 @@ def bp_marginals(
                 cur = np.matmul(cur.transpose(perm).reshape(mshape), v2f[d][s][:, :, None])
                 cur = cur.reshape(shape)
             out[target] = cur
-        new_f2v = {d: x / x.sum(axis=1, keepdims=True) for d, x in raw.items()}
-        new_v2f = {d: _gathered_products(f2v[d], gather[d], padded[d]) for d in edges}
+        new_f2v = {d: _normalized(x, owner[d]) for d, x in raw.items()}
+        new_v2f = {d: _gathered_products(f2v[d], gather[d], padded[d], owner[d]) for d in edges}
         if damping:
             new_f2v = {d: damping * f2v[d] + (1.0 - damping) * x for d, x in new_f2v.items()}
             new_v2f = {d: damping * v2f[d] + (1.0 - damping) * x for d, x in new_v2f.items()}
@@ -539,7 +541,7 @@ def bp_marginals(
     for d, es in edges.items():
         variables = sorted({v for _, v in es})
         idx = _padded([[slot[(fid, v)] for fid in g.var_factors(v)] for v in variables], len(es))
-        for v, b in zip(variables, _gathered_products(f2v[d], idx, padded[d])):
+        for v, b in zip(variables, _gathered_products(f2v[d], idx, padded[d], variables)):
             beliefs[v] = Measure((v,), (d,), b)
     return BpResult([beliefs[v] for v in range(g.num_variables)], converged, iterations, residual)
 
@@ -550,17 +552,30 @@ def _padded(lists: list[list[int]], pad: int) -> np.ndarray:
     return np.array([r + [pad] * (width - len(r)) for r in lists], dtype=np.intp)
 
 
-def _gathered_products(rows: np.ndarray, idx: np.ndarray, padded: np.ndarray) -> np.ndarray:
+def _gathered_products(
+    rows: np.ndarray, idx: np.ndarray, padded: np.ndarray, owner: list[int]
+) -> np.ndarray:
     """Normalized products of the ``rows`` each row of ``idx`` names, in its order.
 
     ``rows`` is copied into ``padded``, whose extra last row of ones is named
-    by the index ``len(rows)``, which pads ``idx``.
+    by the index ``len(rows)``, which pads ``idx``; product ``r`` goes into
+    variable ``owner[r]``.
     """
     padded[:-1] = rows
     p = padded.take(idx[:, 0], axis=0)
     for c in range(1, idx.shape[1]):
         p = p * padded.take(idx[:, c], axis=0)
-    return p / p.sum(axis=1, keepdims=True)
+    return _normalized(p, owner)
+
+
+def _normalized(p: np.ndarray, owner: list[int]) -> np.ndarray:
+    """``p``'s rows over their sums; ``bp_marginals`` raises on ``0 / 0`` rows."""
+    z = p.sum(axis=1, keepdims=True)
+    try:
+        return p / z
+    except FloatingPointError:
+        v = owner[int(z.argmin())]
+        raise ZeroMeasureError(f"the BP messages into variable {v} multiply to zero") from None
 
 
 def exact_marginals(g: FactorGraph, engine: str = "brute") -> list[Measure]:
@@ -581,9 +596,9 @@ def exact_marginals(g: FactorGraph, engine: str = "brute") -> list[Measure]:
     product times its parent's message, and sends each child the same
     product without the child's own message, summed down to that message's
     scope. Each message is scaled by a power of two, so strong couplings do
-    not overflow. The clique of each bucket (the union of its tables'
-    scopes) is checked against the cap once, before its product is built;
-    every later table lies on a subset of a checked clique.
+    not overflow. The order is made first and checks each bucket's clique
+    (the union of its tables' scopes) against the cap, so no table is built
+    for a graph past the cap; every later table lies on a subset of a clique.
     """
     if engine == "brute":
         return _brute_marginals(g)
@@ -593,18 +608,15 @@ def exact_marginals(g: FactorGraph, engine: str = "brute") -> list[Measure]:
 
 
 def _brute_marginals(g: FactorGraph) -> list[Measure]:
-    total = g.joint_states()
+    total = prod(g.sizes)
     if total > BRUTE_CAP:
         raise CapacityExceededError(
             f"joint distribution has {total} states, above the cap of {BRUTE_CAP}"
         )
-    joint = scalar_measure(1.0)
+    joint = Measure((), (), np.ones(1))
     for f in g.factors:
         joint = multiply(joint, Measure(f.scope, f.sizes, f.table))
-    out = []
-    for i in range(g.num_variables):
-        out.append(normalize(marginalize_out(joint, set(joint.scope) - {i})))
-    return out
+    return [normalize(marginalize_out(joint, set(joint.scope) - {i})) for i in range(len(g.sizes))]
 
 
 def _elimination_order(g: FactorGraph) -> list[int]:
@@ -613,8 +625,10 @@ def _elimination_order(g: FactorGraph) -> list[int]:
     A variable's weight is the size of the table eliminating it would build:
     its domain size times its live neighbours'. Each step eliminates the
     lightest variable, the smallest id among equals, and connects its live
-    neighbours; only their weights change, so only theirs are recomputed and
-    pushed again, and a popped entry whose weight is out of date is skipped.
+    neighbours; only their weights change, by the variable each loses and the
+    neighbours it gains, and a popped entry whose weight is out of date is
+    skipped. A popped weight is the size of that variable's bucket clique (it
+    and its live neighbours), so the cap is checked here.
     """
     n = g.num_variables
     size_of = g.sizes
@@ -633,15 +647,20 @@ def _elimination_order(g: FactorGraph) -> list[int]:
         w, v = heappop(heap)
         if eliminated[v] or w != weight[v]:
             continue
+        if w > VARELIM_BUCKET_CAP:
+            raise CapacityExceededError(
+                f"eliminating variable {v} needs a {w}-entry table (cap {VARELIM_BUCKET_CAP})"
+            )
         eliminated[v] = True
         order.append(v)
         live = neighbors[v]
         for u in live:
             ns = neighbors[u]
             ns.discard(v)
-            ns.update(live)
-            ns.discard(u)
-            weight[u] = size_of[u] * prod(size_of[x] for x in ns)
+            gained = live - ns
+            gained.discard(u)
+            ns |= gained
+            weight[u] = weight[u] // size_of[v] * prod(size_of[x] for x in gained)
             heappush(heap, (weight[u], u))
     return order
 
@@ -653,7 +672,6 @@ def _bucket_tree_marginals(g: FactorGraph, order: list[int]) -> list[Measure]:
     child's message: a variable stays in each message until its own bucket.
     """
     n = g.num_variables
-    size_of = g.sizes
     earliest = {v: k for k, v in enumerate(order)}.__getitem__
     bucket: list[list[Measure]] = [[] for _ in range(n)]
     for f in g.factors:
@@ -665,13 +683,6 @@ def _bucket_tree_marginals(g: FactorGraph, order: list[int]) -> list[Measure]:
     up: list[Measure | None] = [None] * n
     down: list[Measure | None] = [None] * n
     for v in order:
-        tables = bucket[v] + [up[c] for c in children[v]]
-        weight = prod(size_of[u] for u in set().union(*(t.scope for t in tables)))
-        if weight > VARELIM_BUCKET_CAP:
-            raise CapacityExceededError(
-                f"eliminating variable {v} needs a {weight}-entry table "
-                f"(cap {VARELIM_BUCKET_CAP})"
-            )
         for t in bucket[v]:
             local[v] = _times(local[v], t)
         clique = local[v]
@@ -709,7 +720,7 @@ def _scaled(m: Measure) -> Measure:
     not overflow. A power-of-two scaling is exact and cancels in the final
     ``normalize``: without overflow or underflow the marginals keep their bytes.
     """
-    _, e = np.frexp(m.values.max())
+    _, e = frexp(np.maximum.reduce(m.values))
     return Measure._new(m.scope, m.sizes, np.ldexp(m.values, -e))
 
 

@@ -186,6 +186,50 @@ def smallest_bounding_box(points: list[Measure]) -> Box:
     )
 
 
+def _reference_aligned(m: Measure, scope: tuple[int, ...]) -> np.ndarray:
+    """ndarray with axes following ``scope``, singleton where a variable is absent."""
+    present = [v for v in scope if v in m.scope]
+    perm = [m.scope.index(v) for v in present]
+    nd = m.nd().transpose(perm)
+    missing = tuple(k for k, v in enumerate(scope) if v not in m.scope)
+    return np.expand_dims(nd, axis=missing) if missing else nd
+
+
+def reference_multiply(a: Measure, b: Measure) -> Measure:
+    """The pointwise product by aligning both operands to the union scope.
+
+    The result scope is ``a``'s followed by ``b``'s new variables; each entry
+    is one product, so ``measure.multiply`` must give the same bytes.
+    """
+    for v, d in zip(b.scope, b.sizes):
+        if v in a.scope and a.sizes[a.scope.index(v)] != d:
+            raise ValueError(f"domain mismatch for variable {v}")
+    scope = a.scope + tuple(v for v in b.scope if v not in a.scope)
+    size_of = dict(zip(a.scope, a.sizes)) | dict(zip(b.scope, b.sizes))
+    sizes = tuple(size_of[v] for v in scope)
+    out = _reference_aligned(a, scope) * _reference_aligned(b, scope)
+    return Measure._new(scope, sizes, np.ravel(out, order="F"))
+
+
+def reference_marginalize_out(m: Measure, drop) -> Measure:
+    """Sum over ``drop`` with ``ndarray.sum`` on the F-order view of ``m``.
+
+    ``measure.marginalize_out`` sums the same view and must give the same bytes.
+    """
+    drop = set(drop)
+    unknown = drop - set(m.scope)
+    if unknown:
+        raise ValueError(f"cannot marginalize unknown variables {sorted(unknown)}")
+    if not drop:
+        return Measure._new(m.scope, m.sizes, m.values.copy())
+    axes = tuple(k for k, v in enumerate(m.scope) if v in drop)
+    keep = tuple(k for k, v in enumerate(m.scope) if v not in drop)
+    summed = m.nd().sum(axis=axes)
+    scope = tuple(m.scope[k] for k in keep)
+    sizes = tuple(m.sizes[k] for k in keep)
+    return Measure._new(scope, sizes, np.ravel(summed, order="F"))
+
+
 def reference_variable_message(reg, v, ids):
     """Variable message glue as a plain lookup-then-compute, for the engine to match.
 

@@ -140,6 +140,18 @@ def test_bp_smoke(triangle_file, capsys):
     assert header["converged"] is True
 
 
+def test_bp_exits_2_when_the_messages_into_a_variable_vanish(tmp_path, capsys, recwarn):
+    path = tmp_path / "vanish.fg"
+    path.write_text(
+        write_fg(graph_from([((0, 1), (2, 2), np.ones(4)), ((0,), (2,), (1, 0)), ((0,), (2,), (0, 1))]))
+    )
+    assert run(capsys, "validate", "--in", str(path))[0] == 0
+    code, out, err = run(capsys, "bp", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "error: the BP messages into variable 0 multiply to zero"
+    assert not recwarn.list
+
+
 def test_compare_writes_files(triangle_file, tmp_path, capsys):
     summary = tmp_path / "summary.csv"
     details = tmp_path / "details.jsonl"

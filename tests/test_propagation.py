@@ -33,6 +33,8 @@ from helpers import (
     reference_bp_marginals,
     reference_elimination_order,
     reference_factor_message,
+    reference_marginalize_out,
+    reference_multiply,
     reference_variable_message,
     scale_factor,
     triangle_graph,
@@ -733,6 +735,30 @@ def test_bp_refuses_bad_options(option):
         bp_marginals(triangle_graph(), **option)
 
 
+@pytest.mark.parametrize(
+    "d, var, units",
+    [
+        ((2, 2, 2), 0, ((1.0, 0.0), (0.0, 1.0))),
+        ((2, 2, 2), 2, ((0.0, 3.0), (2.0, 0.0))),
+        ((2, 3, 2), 1, ((1.0, 0.0, 0.0), (0.0, 1.0, 1.0))),
+    ],
+    ids=["first", "last", "ternary"],
+)
+def test_bp_names_the_variable_whose_messages_vanish(d, var, units, recwarn):
+    # Each factor passes validation, but the unary factors on ``var`` have
+    # disjoint supports, so every message product into ``var`` is zero.
+    g = graph_from(
+        [((0, 1), (d[0], d[1]), np.ones(d[0] * d[1])), ((1, 2), (d[1], d[2]), np.ones(d[1] * d[2]))]
+        + [((var,), (d[var],), u) for u in units]
+    )
+    assert validate(g) == []
+    with pytest.raises(
+        ZeroMeasureError, match=rf"^the BP messages into variable {var} multiply to zero$"
+    ):
+        bp_marginals(g)
+    assert not recwarn.list
+
+
 # ------------------------------------------------------------- exact oracles
 
 
@@ -879,6 +905,35 @@ def test_elimination_order_matches_the_full_rescan():
     graphs.append(gen_ternary_grid(GridSpec(5, 5, 3, 1.0, 5)))
     for g in graphs:
         assert propagation._elimination_order(g) == reference_elimination_order(g)
+
+
+def test_exact_marginals_equal_the_reference_products(monkeypatch):
+    # The lean multiply and marginalize_out must give every table of both
+    # engines the bytes of the aligned product and the ndarray sum they
+    # replace: random scope orders (so the second operand is transposed),
+    # arity up to 4, unary factors, tables exp(beta * N(0, 1)) up to beta 5.
+    rng = np.random.default_rng(83)
+    graphs = []
+    for k in range(150):
+        base = random_connected_graph(rng, max_vars=9, max_domain=3, max_arity=4, max_extra=4)
+        beta = 5.0 * k / 149
+        v = int(rng.integers(base.num_variables))
+        scopes = [(f.scope, f.sizes) for f in base.factors] + [((v,), (base.sizes[v],))]
+        graphs.append(
+            graph_from([(s, z, np.exp(beta * rng.standard_normal(np.prod(z)))) for s, z in scopes])
+        )
+
+    def outputs():
+        return [
+            [(m.scope, m.values.tobytes()) for m in exact_marginals(g, engine)]
+            for g in graphs
+            for engine in ("varelim", "brute")
+        ]
+
+    lean = outputs()
+    monkeypatch.setattr(propagation, "multiply", reference_multiply)
+    monkeypatch.setattr(propagation, "marginalize_out", reference_marginalize_out)
+    assert outputs() == lean
 
 
 def test_unknown_engine():
