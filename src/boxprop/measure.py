@@ -14,11 +14,13 @@ bytes. ``boxprop.propagation`` relies on that to memoize variable and factor
 messages per graph, keyed on interned ids that each stand for one box's exact
 bytes (at most ``MESSAGE_MEMO_CAP`` entries per graph node before a fresh
 memo is started), so a memo hit is bit-identical to a recomputation. The
-only state kept here is the per-factor cache of summed-out table matrices,
-which likewise dies with its factor, and the read-only corner-selection bit
-table per number of free states (at most 20, one per count the cap allows;
-the table for ``f`` free states is ``2**f * f`` bytes, at most 1/8 of the
-corner matrix built from it).
+only state kept here: per factor, its table as one C-contiguous summed-out
+matrix per scope variable (all built on the factor's first use, each by one
+reshape, transpose and copy; the cache dies with the factor); and read-only
+tables: a ``d x d`` identity per domain size (a simplex's extreme points)
+and a corner-selection bit table per number of free states (at most 20, one
+per count the cap allows; the table for ``f`` free states is ``2**f * f``
+bytes, at most 1/8 of the corner matrix built from it).
 
 :func:`multiply` and :func:`marginalize_out` (the exact oracles' algebra)
 work on reshaped views of flat values: one IEEE product per entry, and one
@@ -237,8 +239,8 @@ def box_corner_matrix(box: Box) -> np.ndarray:
     """
     lower = box.lower.values
     upper = box.upper.values
-    free = (upper > lower).nonzero()[0]
-    n = int(free.size)
+    above = upper > lower
+    n = np.count_nonzero(above)
     if n == 0:
         return lower.reshape(1, -1).copy()
     if 1 << n > ENUMERATION_CAP:
@@ -248,6 +250,7 @@ def box_corner_matrix(box: Box) -> np.ndarray:
     table = _corner_table(n)
     if n == lower.size:
         return np.where(table, upper, lower)
+    free = above.nonzero()[0]
     corners = np.repeat(lower[None, :], 1 << n, axis=0)
     corners[:, free] = np.where(table, upper[free], lower[free])
     return corners
@@ -304,17 +307,17 @@ def _bounding_box_of_normalized(
     is a convex combination of the normalized nonzero columns. If every column
     is zero the incoming sets admit no normalizable image at all.
     """
-    z = images.sum(axis=0)
-    mask = z > 0.0
-    if not mask.all():
+    z = np.add.reduce(images, axis=0)
+    if not np.minimum.reduce(z) > 0.0:
+        mask = z > 0.0
         if not mask.any():
             raise ZeroMeasureError("every enumerated combination gives a zero measure")
         images = images[:, mask]
         z = z[mask]
     norm = images / z
     return Box._new(
-        Measure._new(scope, sizes, norm.min(axis=1)),
-        Measure._new(scope, sizes, norm.max(axis=1)),
+        Measure._new(scope, sizes, np.minimum.reduce(norm, axis=1)),
+        Measure._new(scope, sizes, np.maximum.reduce(norm, axis=1)),
     )
 
 
@@ -322,23 +325,28 @@ _SUMMED_MATRICES: "WeakKeyDictionary[Factor, dict[int, np.ndarray]]" = WeakKeyDi
 
 
 def _summed_out_matrix(factor: Factor, keep: int) -> np.ndarray:
-    """Factor table as a (d_keep, other_states) matrix, cached per factor.
+    """Factor table as a C-contiguous (d_keep, other_states) matrix, cached per factor.
 
-    Columns follow little-endian order over the non-keep scope variables.
+    Columns follow little-endian order over the non-keep scope variables. A
+    factor's first call builds the matrix of each of its variables.
     """
-    per_factor = _SUMMED_MATRICES.get(factor)
-    if per_factor is None:
-        per_factor = _SUMMED_MATRICES.setdefault(factor, {})
-    mat = per_factor.get(keep)
-    if mat is None:
-        kpos = factor.scope.index(keep)
-        mat = np.ascontiguousarray(
-            np.moveaxis(factor.table_nd(), kpos, 0).reshape(
-                (factor.sizes[kpos], -1), order="F"
-            )
-        )
-        per_factor[keep] = mat
-    return mat
+    mats = _SUMMED_MATRICES.get(factor)
+    if mats is None:
+        mats, table, sizes = {}, factor.table, factor.sizes
+        for k, (v, d) in enumerate(zip(factor.scope, sizes)):
+            # The flat table in C order is (states after v, d, states before v).
+            cube = table.reshape(-1, d, prod(sizes[:k])).transpose(1, 0, 2)
+            mats[v] = np.ascontiguousarray(cube).reshape(d, -1)
+        _SUMMED_MATRICES[factor] = mats
+    return mats[keep]
+
+
+@cache
+def _identity(d: int) -> np.ndarray:
+    """Read-only ``d x d`` identity: a simplex's extreme points, one per row."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def _check_single_var(ms: MessageSet, var: int) -> None:
@@ -370,7 +378,7 @@ def bound_sum_product(
             raise ValueError(f"missing incoming message set for variable {v}")
         ms = incoming[v]
         _check_single_var(ms, v)
-        mat = np.eye(ms.domain_size) if isinstance(ms, Simplex) else box_corner_matrix(ms)
+        mat = _identity(ms.domain_size) if isinstance(ms, Simplex) else box_corner_matrix(ms)
         n_combos *= mat.shape[0]
         if n_combos > ENUMERATION_CAP:
             raise CapacityExceededError(

@@ -247,8 +247,8 @@ class SawTree:
     its parent walk (-1 for the root, walk 0); ``kind[i]`` indexes ``("root",
     "inner", "dead_end", "cycle", "truncated")``; and its children are the
     walks ``first[i]:first[i + 1]``, in ascending endpoint order. ``node_count``
-    counts the walks that are not ``truncated`` markers: those mark extensions
-    the builder cut off and are not counted against its budget.
+    counts the nodes the builder spent its budget on: the walks that are not
+    ``truncated`` markers, plus, in a subtree, the dead nodes left unlisted.
     """
 
     root: int
@@ -360,41 +360,58 @@ def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     the tree yet and fewer than ``max_nodes`` nodes are, so nodes join in
     ascending id order and the result is deterministic for a given graph and
     budget. Every other edge leaving a tree node, except the one back to its
-    parent, becomes a ``truncated`` marker and sends a simplex. ``node_count``
-    counts the tree's nodes. On pairwise factor graphs the joint rule of
-    :func:`boxprop_sawtree` gives the same box over this tree as the factorized
-    rule of :func:`boxprop_subtree`.
+    parent, becomes a ``truncated`` marker and sends a simplex. A variable
+    with a marker child sends its own simplex, so its other children and all
+    below them are *dead*: they join in queue order but get no walks, as no
+    message of theirs can reach the root. ``node_count`` counts every joined
+    node. On pairwise factor graphs the joint rule of :func:`boxprop_sawtree`
+    gives the same box over this tree as the factorized rule of
+    :func:`boxprop_subtree`.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
     if not 0 <= root < g.num_variables:
         raise ValueError(f"root {root} is not a variable of the graph")
     reg = _registry(g)
-    nbrs, bit = reg.nbrs, reg.bit
+    n, nbrs, bit = reg.num_variables, reg.nbrs, reg.bit
     end, prev, kind, first = [root], [-1], [_ROOT], []
-    # The tree's node set as one bitmask over bipartite ids.
+    # Joined nodes in breadth-first order: endpoint, parent endpoint and walk
+    # index (-1 for a dead node). The tree's node set is one bitmask.
+    queue = [(root, -1, 0)]
     in_tree = bit[root]
     count = 1
-    for i, u in enumerate(end):
-        start = len(end)
-        first.append(start)
-        if kind[i] == _TRUNCATED:
-            continue
-        p = prev[i]
+    for u, p, i in queue:
+        dead = i < 0  # whether the node's joined children are dead
+        if not dead:
+            while len(first) <= i:
+                first.append(len(end))
+            if u < n:
+                # A marker child: a neighbour already in the tree, or one past the budget.
+                dead = count + len(nbrs[u]) - (p >= 0) > max_nodes
+                for w in nbrs[u]:
+                    if w != p and in_tree & bit[w]:
+                        dead = True
+                        break
         for w in nbrs[u]:
             if w == p:
                 continue
-            end.append(w)
-            prev.append(u)
             if count < max_nodes and not in_tree & bit[w]:
                 count += 1
                 in_tree |= bit[w]
+                queue.append((w, u, -1 if dead else len(end)))
+                if dead:
+                    continue
                 kind.append(_INNER)
+            elif i < 0:
+                continue
             else:
                 kind.append(_TRUNCATED)
-        if i and len(end) == start:
+            end.append(w)
+            prev.append(u)
+        if i > 0 and len(end) == first[i]:
             kind[i] = _DEAD_END
-    first.append(len(end))
+    while len(first) <= len(end):
+        first.append(len(end))
     return SawTree(root, count, g.num_variables, end, prev, kind, first)
 
 
@@ -446,6 +463,8 @@ def bp_marginals(
     positive, finite ``tol``. Positivity does not keep the messages into a
     variable from multiplying to zero (unary factors ``[1, 0]`` and ``[0, 1]``
     on it): such a ``0 / 0`` raises :class:`ZeroMeasureError` naming it.
+    Damping keeps them above zero, so the belief products also run over the
+    last sweep's undamped messages and raise as undamped BP would.
 
     Messages live in one ``(edges, d)`` array per domain size ``d`` and
     direction, one row per factor-variable edge; the edge ``(fid, v)`` has the
@@ -526,6 +545,7 @@ def bp_marginals(
         new_f2v = {d: _normalized(x, owner[d]) for d, x in raw.items()}
         new_v2f = {d: _gathered_products(f2v[d], gather[d], padded[d], owner[d]) for d in edges}
         if damping:
+            undamped = new_f2v
             new_f2v = {d: damping * f2v[d] + (1.0 - damping) * x for d, x in new_f2v.items()}
             new_v2f = {d: damping * v2f[d] + (1.0 - damping) * x for d, x in new_v2f.items()}
         residual = max(
@@ -541,6 +561,8 @@ def bp_marginals(
     for d, es in edges.items():
         variables = sorted({v for _, v in es})
         idx = _padded([[slot[(fid, v)] for fid in g.var_factors(v)] for v in variables], len(es))
+        if damping:
+            _gathered_products(undamped[d], idx, padded[d], variables)
         for v, b in zip(variables, _gathered_products(f2v[d], idx, padded[d], variables)):
             beliefs[v] = Measure((v,), (d,), b)
     return BpResult([beliefs[v] for v in range(g.num_variables)], converged, iterations, residual)
@@ -585,7 +607,8 @@ def exact_marginals(g: FactorGraph, engine: str = "brute") -> list[Measure]:
     ``varelim`` runs bucket-tree elimination (Kask, Dechter, Larrosa and
     Dechter 2005) along a greedy min-weight order, with every clique capped at
     ``VARELIM_BUCKET_CAP`` entries. Both raise :class:`CapacityExceededError`
-    past their caps.
+    past their caps, and :class:`ZeroMeasureError` naming a variable when
+    every joint assignment has weight zero (``validate`` allows that).
 
     Each factor goes into the bucket of its earliest-eliminated variable. An
     upward pass along the order multiplies each bucket's factors and its
@@ -616,7 +639,15 @@ def _brute_marginals(g: FactorGraph) -> list[Measure]:
     joint = Measure((), (), np.ones(1))
     for f in g.factors:
         joint = multiply(joint, Measure(f.scope, f.sizes, f.table))
-    return [normalize(marginalize_out(joint, set(joint.scope) - {i})) for i in range(len(g.sizes))]
+    return [_marginal(marginalize_out(joint, set(joint.scope) - {i}), i) for i in range(len(g.sizes))]
+
+
+def _marginal(m: Measure, v: int) -> Measure:
+    """Variable ``v``'s marginal ``m``, normalized; zero mass means a zero joint measure."""
+    if not m.values.sum() > 0.0:
+        raise ZeroMeasureError(f"every joint assignment has weight zero, so the marginal of "
+                               f"variable {v} has zero mass")
+    return normalize(m)
 
 
 def _elimination_order(g: FactorGraph) -> list[int]:
@@ -705,7 +736,7 @@ def _bucket_tree_marginals(g: FactorGraph, order: list[int]) -> list[Measure]:
             suffix.append(_times(up[c], suffix[-1]))
         suffix.reverse()
         total = prefix[-1]
-        out[v] = normalize(marginalize_out(total, set(total.scope) - {v}))
+        out[v] = _marginal(marginalize_out(total, set(total.scope) - {v}), v)
         for j, c in enumerate(kids):
             rest = _times(prefix[j], suffix[j])
             if rest is not None:

@@ -4,8 +4,10 @@ from math import prod
 
 import numpy as np
 
+from boxprop.errors import CapacityExceededError, ZeroMeasureError
 from boxprop.factorgraph import Factor, FactorGraph
 from boxprop.measure import (
+    ENUMERATION_CAP,
     Box,
     Measure,
     MessageSet,
@@ -18,7 +20,18 @@ from boxprop.measure import (
     full_box,
     unit_box,
 )
-from boxprop.propagation import JOINT, BpResult, _padded
+from boxprop.measure import _check_single_var, _corner_table
+from boxprop.propagation import (
+    _DEAD_END,
+    _INNER,
+    _ROOT,
+    _TRUNCATED,
+    JOINT,
+    BpResult,
+    SawTree,
+    _padded,
+    _registry,
+)
 
 
 def graph_from(tables):
@@ -230,6 +243,91 @@ def reference_marginalize_out(m: Measure, drop) -> Measure:
     return Measure._new(scope, sizes, np.ravel(summed, order="F"))
 
 
+# The factor kernels' tails as first written: ``ndarray`` reductions, a fresh
+# ``np.eye`` per simplex child and summed-out matrices through ``np.moveaxis``.
+# The engine's kernels must give the same bytes, errors and messages.
+
+
+def reference_box_corner_matrix(box: Box) -> np.ndarray:
+    lower = box.lower.values
+    upper = box.upper.values
+    free = (upper > lower).nonzero()[0]
+    n = int(free.size)
+    if n == 0:
+        return lower.reshape(1, -1).copy()
+    if 1 << n > ENUMERATION_CAP:
+        raise CapacityExceededError(
+            f"box has {n} free states; 2**{n} corners exceed the cap of {ENUMERATION_CAP}"
+        )
+    table = _corner_table(n)
+    if n == lower.size:
+        return np.where(table, upper, lower)
+    corners = np.repeat(lower[None, :], 1 << n, axis=0)
+    corners[:, free] = np.where(table, upper[free], lower[free])
+    return corners
+
+
+def reference_bounding_box_of_normalized(images, scope, sizes) -> Box:
+    z = images.sum(axis=0)
+    mask = z > 0.0
+    if not mask.all():
+        if not mask.any():
+            raise ZeroMeasureError("every enumerated combination gives a zero measure")
+        images = images[:, mask]
+        z = z[mask]
+    norm = images / z
+    return Box._new(
+        Measure._new(scope, sizes, norm.min(axis=1)),
+        Measure._new(scope, sizes, norm.max(axis=1)),
+    )
+
+
+def reference_summed_out_matrix(factor: Factor, keep: int) -> np.ndarray:
+    kpos = factor.scope.index(keep)
+    return np.ascontiguousarray(
+        np.moveaxis(factor.table_nd(), kpos, 0).reshape((factor.sizes[kpos], -1), order="F")
+    )
+
+
+def reference_bound_sum_product(factor: Factor, keep: int, incoming) -> Box:
+    if keep not in factor.scope:
+        raise ValueError(f"variable {keep} not in factor scope {factor.scope}")
+    others = [v for v in factor.scope if v != keep]
+    point_mats = []
+    n_combos = 1
+    for v in others:
+        if v not in incoming:
+            raise ValueError(f"missing incoming message set for variable {v}")
+        ms = incoming[v]
+        _check_single_var(ms, v)
+        mat = np.eye(ms.domain_size) if isinstance(ms, Simplex) else reference_box_corner_matrix(ms)
+        n_combos *= mat.shape[0]
+        if n_combos > ENUMERATION_CAP:
+            raise CapacityExceededError(
+                f"{n_combos}+ extreme-point combinations exceed the cap of {ENUMERATION_CAP}"
+            )
+        point_mats.append(mat)
+    d_keep = factor.sizes[factor.scope.index(keep)]
+    if not point_mats:
+        images = reference_summed_out_matrix(factor, keep)
+    elif len(point_mats) == 1:
+        images = reference_summed_out_matrix(factor, keep) @ point_mats[0].T
+    else:
+        kpos = factor.scope.index(keep)
+        cur = np.moveaxis(factor.table_nd(), kpos, 0)
+        for mat in point_mats:
+            cur = np.tensordot(cur, mat, axes=([1], [1]))
+        images = cur.reshape(d_keep, -1)
+    return reference_bounding_box_of_normalized(images, (keep,), (d_keep,))
+
+
+def reference_bound_sum_product_joint(factor: Factor, keep: int, joint: Box) -> Box:
+    """The joint kernel over the reference corner matrix, summed-out matrix and tail."""
+    images = reference_summed_out_matrix(factor, keep) @ reference_box_corner_matrix(joint).T
+    d_keep = factor.sizes[factor.scope.index(keep)]
+    return reference_bounding_box_of_normalized(images, (keep,), (d_keep,))
+
+
 def reference_variable_message(reg, v, ids):
     """Variable message glue as a plain lookup-then-compute, for the engine to match.
 
@@ -273,6 +371,75 @@ def reference_factor_message(reg, rule, fid, keep, ids):
             box = bound_sum_product(f, keep, incoming)
         m = reg.factor_memo[key] = reg.intern(box)
     return m
+
+
+def reference_build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
+    """Breadth-first subtree with every walk listed, dead or not.
+
+    First visit wins: an extension joins the tree if its endpoint is not in
+    the tree yet and fewer than ``max_nodes`` nodes are, so nodes join in
+    ascending id order and the result is deterministic for a given graph and
+    budget. Every other edge leaving a tree node, except the one back to its
+    parent, becomes a ``truncated`` marker and sends a simplex. ``node_count``
+    counts the tree's nodes. The engine's ``build_subtree`` must give this
+    tree with every walk below a variable that has a marker child removed.
+    """
+    if max_nodes < 1:
+        raise ValueError("max_nodes must be >= 1")
+    if not 0 <= root < g.num_variables:
+        raise ValueError(f"root {root} is not a variable of the graph")
+    reg = _registry(g)
+    nbrs, bit = reg.nbrs, reg.bit
+    end, prev, kind, first = [root], [-1], [_ROOT], []
+    # The tree's node set as one bitmask over bipartite ids.
+    in_tree = bit[root]
+    count = 1
+    for i, u in enumerate(end):
+        start = len(end)
+        first.append(start)
+        if kind[i] == _TRUNCATED:
+            continue
+        p = prev[i]
+        for w in nbrs[u]:
+            if w == p:
+                continue
+            end.append(w)
+            prev.append(u)
+            if count < max_nodes and not in_tree & bit[w]:
+                count += 1
+                in_tree |= bit[w]
+                kind.append(_INNER)
+            else:
+                kind.append(_TRUNCATED)
+        if i and len(end) == start:
+            kind[i] = _DEAD_END
+    first.append(len(end))
+    return SawTree(root, count, g.num_variables, end, prev, kind, first)
+
+
+def without_dead_walks(t: SawTree) -> SawTree:
+    """``t`` without the walks below a variable that has a ``truncated`` child.
+
+    Such a variable sends its simplex whatever its other children send, so
+    nothing below them reaches the root. The markers stay; ``node_count`` too.
+    """
+    n, end, kind, first = t.num_variables, t.end, t.kind, t.first
+    kept, starts = [0], [1]
+    for i in kept:  # breadth-first, so ``kept`` stays in list order
+        kids = range(first[i], first[i + 1])
+        if end[i] < n and any(kind[j] == _TRUNCATED for j in kids):
+            kids = [j for j in kids if kind[j] == _TRUNCATED]
+        kept.extend(kids)
+        starts.append(starts[-1] + len(kids))
+    return SawTree(
+        t.root,
+        t.node_count,
+        n,
+        [end[i] for i in kept],
+        [t.prev[i] for i in kept],
+        [kind[i] for i in kept],
+        starts,
+    )
 
 
 def reference_elimination_order(g) -> list[int]:

@@ -152,6 +152,23 @@ def test_bp_exits_2_when_the_messages_into_a_variable_vanish(tmp_path, capsys, r
     assert not recwarn.list
 
 
+def test_damped_bp_and_compare_exit_2_on_a_zero_joint_measure(tmp_path, capsys, recwarn):
+    path = tmp_path / "vanish.fg"
+    path.write_text(
+        write_fg(graph_from([((0, 1), (2, 2), np.ones(4)), ((0,), (2,), (1, 0)), ((0,), (2,), (0, 1))]))
+    )
+    code, out, err = run(capsys, "bp", "--in", str(path), "--damping", "0.5")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "error: the BP messages into variable 0 multiply to zero"
+    code, out, err = run(capsys, "compare", "--in", str(path), "--methods", "subtree", "--bp")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        "error: every joint assignment has weight zero, so the marginal of variable 1 has zero mass"
+    )
+    assert "warning" not in err
+    assert not recwarn.list
+
+
 def test_compare_writes_files(triangle_file, tmp_path, capsys):
     summary = tmp_path / "summary.csv"
     details = tmp_path / "details.jsonl"

@@ -7,6 +7,7 @@ from hypothesis import given
 
 from boxprop.errors import CapacityExceededError, ZeroMeasureError
 from boxprop.factorgraph import Factor
+from boxprop import measure
 from boxprop.measure import (
     Box,
     Measure,
@@ -20,8 +21,19 @@ from boxprop.measure import (
     marginalize_out,
     multiply,
     normalize,
+    normalized_corner_box,
 )
-from helpers import extreme_points, measure_value, partition_sum, smallest_bounding_box
+from helpers import (
+    extreme_points,
+    measure_value,
+    partition_sum,
+    reference_bound_sum_product,
+    reference_bound_sum_product_joint,
+    reference_bounding_box_of_normalized,
+    reference_box_corner_matrix,
+    reference_summed_out_matrix,
+    smallest_bounding_box,
+)
 
 SYM = Factor(0, (0, 1), (2, 2), np.array([1.0, 2.0, 2.0, 1.0]))
 
@@ -468,3 +480,109 @@ def test_bound_sum_product_joint_scope_reorder():
     bound_sum_product_joint(f, 0, box((1, 2), (2, 2), lower, upper))
     with pytest.raises(ValueError, match="must be"):
         bound_sum_product_joint(f, 0, box((2, 1), (2, 2), lower, upper))
+
+
+# ------------------------------------------------ kernel tails vs reference
+
+
+def outcome(fn, *args):
+    """A kernel's result as bytes, or its error's type and message."""
+    try:
+        out = fn(*args)
+    except (ValueError, CapacityExceededError) as e:
+        return type(e), str(e)
+    if isinstance(out, Box):
+        return out.scope, out.lower.values.tobytes(), out.upper.values.tobytes()
+    return out.shape, out.tobytes()
+
+
+def random_box(rng, v, d, n_free):
+    """A box on ``v`` with ``n_free`` free states, zeros among its entries."""
+    lower = rng.uniform(0.0, 1.0, d) * (rng.uniform(size=d) < 0.7)
+    upper = lower.copy()
+    free = rng.choice(d, n_free, replace=False)
+    upper[free] += rng.uniform(0.01, 1.0, n_free)
+    return box((v,), (d,), lower, upper)
+
+
+def test_corner_matrix_and_tail_match_the_reference():
+    rng = np.random.default_rng(1207)
+    for d in range(1, 9):
+        for n_free in range(d + 1):
+            b = random_box(rng, 0, d, n_free)
+            assert outcome(box_corner_matrix, b) == outcome(reference_box_corner_matrix, b)
+            assert outcome(normalized_corner_box, b) == outcome(
+                lambda b: reference_bounding_box_of_normalized(
+                    reference_box_corner_matrix(b).T, b.scope, b.sizes
+                ),
+                b,
+            )
+    wide = box((0,), (21,), np.zeros(21), np.ones(21))
+    assert outcome(box_corner_matrix, wide) == outcome(reference_box_corner_matrix, wide)
+    assert outcome(box_corner_matrix, wide)[0] is CapacityExceededError
+    tail = measure._bounding_box_of_normalized
+    for zeros in (0, 1, 3, 5):
+        images = rng.uniform(0.0, 2.0, (3, 5))
+        images[:, rng.choice(5, zeros, replace=False)] = 0.0
+        args = (images, (4,), (3,))
+        assert outcome(tail, *args) == outcome(reference_bounding_box_of_normalized, *args)
+    assert outcome(tail, *args)[0] is ZeroMeasureError
+
+
+def test_summed_out_matrices_match_the_reference():
+    rng = np.random.default_rng(1208)
+    for arity in range(1, 5):
+        for _ in range(5):
+            scope = tuple(int(v) for v in rng.permutation(6)[:arity])
+            sizes = tuple(int(d) for d in rng.integers(2, 4, arity))
+            f = Factor(0, scope, sizes, rng.uniform(0.0, 2.0, int(np.prod(sizes))))
+            for keep in rng.permutation(scope):
+                mat = measure._summed_out_matrix(f, int(keep))
+                assert mat.flags.c_contiguous
+                assert (mat.shape, mat.tobytes()) == outcome(reference_summed_out_matrix, f, int(keep))
+
+
+def test_factor_kernels_match_the_reference():
+    # Scopes in any order, arity up to 4, Simplex and box children with 0 to
+    # all states free, zero table slices (zero columns, all-zero images).
+    rng = np.random.default_rng(1209)
+    for trial in range(300):
+        arity = int(rng.integers(1, 5))
+        scope = tuple(int(v) for v in rng.permutation(7)[:arity])
+        sizes = tuple(int(d) for d in rng.integers(2, 4, arity))
+        table = rng.uniform(0.0, 2.0, int(np.prod(sizes)))
+        if trial % 3 == 0:
+            table *= rng.uniform(size=table.size) < 0.5
+        f = Factor(0, scope, sizes, table)
+        for keep in scope:
+            incoming = {}
+            for v, d in zip(scope, sizes):
+                if v != keep:
+                    incoming[v] = (
+                        Simplex(v, d) if rng.uniform() < 0.3
+                        else random_box(rng, v, d, int(rng.integers(0, d + 1)))
+                    )
+            assert outcome(bound_sum_product, f, keep, incoming) == outcome(
+                reference_bound_sum_product, f, keep, incoming
+            )
+            others = [incoming[v] for v in scope if v != keep]
+            joint = box_product_disjoint_sbb(
+                [full_box(o.var, o.domain_size) if isinstance(o, Simplex) else o for o in others]
+            )
+            if np.count_nonzero(joint.upper.values > joint.lower.values) <= 10:
+                assert outcome(bound_sum_product_joint, f, keep, joint) == outcome(
+                    reference_bound_sum_product_joint, f, keep, joint
+                )
+    # Too many extreme-point combinations, and an all-zero image.
+    f = Factor(0, (5, 1, 3), (2, 11, 11), rng.uniform(0.1, 2.0, 242))
+    wide = {v: box((v,), (11,), np.zeros(11), np.ones(11)) for v in (1, 3)}
+    assert outcome(bound_sum_product, f, 5, wide)[0] is CapacityExceededError
+    assert outcome(bound_sum_product, f, 5, wide) == outcome(
+        reference_bound_sum_product, f, 5, wide
+    )
+    zero = {1: Simplex(1, 2), 3: box((3,), (2,), (0, 0), (0, 0))}
+    f = Factor(0, (1, 5, 3), (2, 2, 2), rng.uniform(0.1, 2.0, 8))
+    assert outcome(bound_sum_product, f, 5, zero)[0] is ZeroMeasureError
+    assert outcome(bound_sum_product, f, 5, zero) == outcome(
+        reference_bound_sum_product, f, 5, zero
+    )

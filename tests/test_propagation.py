@@ -31,6 +31,7 @@ from helpers import (
     random_pairwise_graph,
     random_tree_graph,
     reference_bp_marginals,
+    reference_build_subtree,
     reference_elimination_order,
     reference_factor_message,
     reference_marginalize_out,
@@ -39,6 +40,7 @@ from helpers import (
     scale_factor,
     triangle_graph,
     triangle_graph_k_first,
+    without_dead_walks,
 )
 
 EX1_LOW, EX1_HIGH = 1 / 5, 4 / 5
@@ -99,7 +101,7 @@ def test_subtree_invariants():
         total = g.num_variables + g.num_factors
         for root in range(g.num_variables):
             for budget in (1, 2, 5, 12, 100_000):
-                t = build_subtree(g, root, budget)
+                t = reference_build_subtree(g, root, budget)
                 inner = [i for i, k in enumerate(t.kind) if k != propagation._TRUNCATED]
                 joined_at = {t.end[i]: i for i in inner}
                 assert len(joined_at) == len(inner) == t.node_count == min(budget, total)
@@ -247,7 +249,52 @@ def test_flat_layout_of_both_builders():
         for root in range(g.num_variables):
             for budget in (1, 4, 25, 100_000):
                 check_flat_layout(g, build_saw_tree(g, root, budget))
-                check_flat_layout(g, build_subtree(g, root, budget))
+                check_flat_layout(g, reference_build_subtree(g, root, budget))
+
+
+def tree_fields(t):
+    return t.root, t.node_count, t.end, t.prev, t.kind, t.first
+
+
+def propagated(g, t, rule):
+    """Box bytes of one pass over ``t`` and the box, or the error's type and None."""
+    try:
+        box = propagation._propagate(propagation._registry(g), t, rule)
+    except (CapacityExceededError, ZeroMeasureError) as e:
+        return type(e), None
+    return box.lower.values.tobytes() + box.upper.values.tobytes(), box
+
+
+@pytest.mark.parametrize("cap", [None, 4])
+def test_subtree_lists_only_the_walks_that_reach_the_root(monkeypatch, cap):
+    # A variable with a marker child sends its simplex, so the walks below its
+    # other children are left out and the bound cannot change. A walk left out
+    # can still fail on the reference tree (the joint rule past the cap, at the
+    # default cap too); the engine's box must then contain the exact marginal.
+    if cap is not None:
+        monkeypatch.setattr(measure, "ENUMERATION_CAP", cap)
+    rng = np.random.default_rng(1210)
+    rescued = 0
+    for _ in range(100):
+        g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=4)
+        unary = rng.choice(g.num_variables, int(rng.integers(1, 3)), replace=False)
+        g = graph_from(
+            [(f.scope, f.sizes, f.table) for f in g.factors]
+            + [((int(v),), (g.sizes[v],), rng.uniform(0.1, 2.0, g.sizes[v])) for v in unary]
+        )
+        exact = exact_marginals(g, "brute")
+        for root in range(g.num_variables):
+            for budget in (1, 2, 5, 12, 60, 100_000):
+                t = build_subtree(g, root, budget)
+                ref = reference_build_subtree(g, root, budget)
+                assert tree_fields(t) == tree_fields(without_dead_walks(ref))
+                for rule in (FACTORIZED, JOINT):
+                    (got, box), (want, _) = propagated(g, t, rule), propagated(g, ref, rule)
+                    if got != want:
+                        assert want in (CapacityExceededError, ZeroMeasureError) and box
+                        assert box_contains(box, exact[root].values, slack=1e-9)
+                        rescued += 1
+    assert rescued > 0
 
 
 # ------------------------------------------------------ SAW-tree propagation
@@ -759,7 +806,31 @@ def test_bp_names_the_variable_whose_messages_vanish(d, var, units, recwarn):
     assert not recwarn.list
 
 
+def test_damped_bp_raises_where_undamped_bp_does(recwarn):
+    # Damping keeps the vanishing messages into variable 0 a power of two above
+    # zero; the last sweep's undamped messages still multiply to zero.
+    g = graph_from([((0, 1), (2, 2), np.ones(4)), ((0,), (2,), (1, 0)), ((0,), (2,), (0, 1))])
+    for damping in (0.0, 0.5):
+        with pytest.raises(ZeroMeasureError, match="^the BP messages into variable 0 multiply to zero$"):
+            bp_marginals(g, damping=damping)
+    assert not recwarn.list
+
+
 # ------------------------------------------------------------- exact oracles
+
+
+@pytest.mark.parametrize("engine", ["brute", "varelim"])
+def test_exact_marginals_name_a_zero_joint_measure(engine, recwarn):
+    # Passes validation, but the unary factors on variable 0 have disjoint
+    # supports, so every joint assignment has weight zero.
+    g = graph_from([((0, 1), (2, 2), np.ones(4)), ((0,), (2,), (1, 0)), ((0,), (2,), (0, 1))])
+    assert validate(g) == []
+    with pytest.raises(
+        ZeroMeasureError,
+        match=r"^every joint assignment has weight zero, so the marginal of variable [01] has zero mass$",
+    ):
+        exact_marginals(g, engine)
+    assert not recwarn.list
 
 
 def test_exact_triangle_and_unary():
