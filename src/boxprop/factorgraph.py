@@ -219,7 +219,7 @@ def parse_fg(source: str | TextIO) -> FactorGraph:
     blocks): first line holds the number of factor blocks; each block holds the
     scope size ``k``, then ``k`` variable ids, then ``k`` aligned domain sizes,
     then the number ``m`` of listed entries, then ``m`` lines ``index value``.
-    Unlisted indices default to 0.
+    Unlisted indices default to 0; content past the last block is an error.
     """
     text = source if isinstance(source, str) else source.read()
     lines = iter(_content_lines(text))
@@ -298,6 +298,8 @@ def parse_fg(source: str | TextIO) -> FactorGraph:
                 raise FgFormatError(lineno, f"table value must be nonnegative, got {value}")
             table[idx] = value
         factors.append(Factor(fid, scope, sizes, table))
+    for lineno, line in lines:
+        raise FgFormatError(lineno, f"content past the declared {nfactors} block(s): {line!r}")
 
     try:
         return FactorGraph(factors)

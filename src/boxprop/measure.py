@@ -59,6 +59,7 @@ __all__ = [
     "bound_sum_product",
     "bound_sum_product_joint",
     "normalized_corner_box",
+    "frontier_boxes",
     "full_box",
     "unit_box",
 ]
@@ -240,7 +241,7 @@ def box_corner_matrix(box: Box) -> np.ndarray:
     lower = box.lower.values
     upper = box.upper.values
     above = upper > lower
-    n = np.count_nonzero(above)
+    n = int(np.count_nonzero(above))
     if n == 0:
         return lower.reshape(1, -1).copy()
     if 1 << n > ENUMERATION_CAP:
@@ -416,6 +417,42 @@ def bound_sum_product_joint(factor: Factor, keep: int, incoming_joint: Box) -> B
     images = _summed_out_matrix(factor, keep) @ corners.T
     d_keep = factor.sizes[factor.scope.index(keep)]
     return _bounding_box_of_normalized(images, (keep,), (d_keep,))
+
+
+def frontier_boxes(pairs: Sequence[tuple[Factor, int]], joint: bool) -> dict[tuple[int, int], Box]:
+    """Each ``(factor, keep)``'s box when every child is a simplex, keyed by id and keep.
+
+    The pairs' ``(d, K)`` summed-out matrices are stacked. A box has the bytes
+    of :func:`bound_sum_product` (images: the matrix, as ``S @ I`` is ``S``) or,
+    with ``joint``, :func:`bound_sum_product_joint` on the [0,1] box (``S @
+    corners.T`` less the all-zero corner, in chunks no larger than the ``2**K x
+    K`` corner matrix). Pairs whose call would raise or mask another zero
+    column are left out.
+    """
+    mats = np.stack([_summed_out_matrix(f, keep) for f, keep in pairs])
+    count, d, k = mats.shape
+    if k > 1 and (1 << k if joint else k) > ENUMERATION_CAP:
+        return {}
+    corners = joint and k > 1  # a unary factor's joint image is its matrix too
+    corners_t = np.where(_corner_table(k), 1.0, 0.0).T if corners else None
+    step = max(1, k // d) if corners else count
+    lower, upper, zmin = np.empty((count, d)), np.empty((count, d)), np.empty(count)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero columns: left out below
+        for start in range(0, count, step):
+            part = slice(start, start + step)
+            images = mats[part] @ corners_t if corners else mats[part]
+            z = np.add.reduce(images, axis=1)
+            if corners:
+                images, z = images[:, :, 1:], z[:, 1:]
+            np.minimum.reduce(z, axis=1, out=zmin[part])
+            norm = images / z[:, None, :]
+            np.minimum.reduce(norm, axis=2, out=lower[part])
+            np.maximum.reduce(norm, axis=2, out=upper[part])
+    boxes = {}
+    for r in (zmin > 0.0).nonzero()[0].tolist():
+        f, v = pairs[r]
+        boxes[f.id, v] = Box._new(*(Measure._new((v,), (d,), b[r]) for b in (lower, upper)))
+    return boxes
 
 
 def normalized_corner_box(box: Box) -> Box:

@@ -31,9 +31,11 @@ sets (below ``num_variables`` the simplices, above them boxes keyed by scope
 and exact bytes). A variable memo keyed on the variable and its children's
 ids, and a factor memo keyed on the rule, factor, parent variable and
 children's ids, make a repeated local neighbourhood cost one tuple and one
-dict lookup; walk trees repeat neighbourhoods many times. A key fixes its
-inputs' bytes and order and the kernels are deterministic, so every bound is
-bit-identical to an unmemoized run.
+dict lookup; walk trees repeat neighbourhoods many times. A factor whose
+children all send simplices sends a constant: such frontier messages are
+stacked once per graph, rule and matrix shape, bypassing the five traced
+kernels. A key fixes its inputs' bytes and order and the kernels are
+deterministic, so every bound is bit-identical to an unmemoized run.
 
 The registry holding the table, both memos and the cached adjacency is held
 weakly by graph, made on the first root, and dies with the graph. A root that
@@ -67,6 +69,7 @@ from .measure import (
     bound_sum_product_joint,
     box_product_disjoint_sbb,
     box_product_same_scope,
+    frontier_boxes,
     full_box,
     marginalize_out,
     multiply,
@@ -114,9 +117,9 @@ class _Registry:
     fid, keep, *child ids)`` to the id of the message sent, a factor's child
     ids following its other scope variables in ascending order. Bipartite node
     ``i`` is variable ``i``, or factor ``i - num_variables``; ``nbrs[i]`` lists
-    its neighbours in ascending id order; ``bit[i]`` is ``1 << i`` for the
-    builders' node-set masks (``N**2 / 16`` bytes for ``N`` nodes). ``plans``
-    maps ``(fid, keep)`` to the other scope variables and their child positions.
+    its neighbours in ascending id order; ``bit[i]`` is ``1 << i`` for walk
+    masks (``N**2 / 16`` bytes for ``N`` nodes). ``plans`` maps ``(fid, keep)``
+    to the other scope variables, their child positions and matrix shape.
     """
 
     def __init__(self, g: FactorGraph):
@@ -128,7 +131,8 @@ class _Registry:
         self.index: dict[tuple, int] = {}
         self.var_memo: dict[tuple, int] = {}
         self.factor_memo: dict[tuple, int] = {}
-        self.plans: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self.plans: dict[tuple[int, int], tuple] = {}
+        self.frontiers: dict[tuple, dict] = {}
         self.nbrs: tuple[tuple[int, ...], ...] = tuple(
             tuple(n + fid for fid in g.var_factors(v)) for v in range(n)
         ) + tuple(tuple(sorted(f.scope)) for f in g.factors)
@@ -142,6 +146,33 @@ class _Registry:
             Box._new(*(Measure._new((v,), (d,), a) for a in arrays[d]))
             for v, d in enumerate(self.sizes)
         ]
+
+    @cached_property
+    def component_size(self) -> list[int]:
+        """The number of bipartite nodes in each node's connected component."""
+        label, sizes = [-1] * len(self.nbrs), []
+        for s in range(len(self.nbrs)):
+            if label[s] < 0:
+                label[s], comp = len(sizes), [s]
+                for u in comp:
+                    for w in self.nbrs[u]:
+                        if label[w] < 0:
+                            label[w] = len(sizes)
+                            comp.append(w)
+                sizes.append(len(comp))
+        return [sizes[c] for c in label]
+
+    def frontier(self, rule: str, shape: tuple[int, int]) -> dict[tuple[int, int], Box]:
+        """Frontier messages under ``rule`` of every ``(fid, keep)`` with matrix ``shape``.
+
+        Built on first use, published by one assignment: racing threads build equal tables.
+        """
+        table = self.frontiers.get((rule, shape))
+        if table is None:
+            pairs = [(f, v) for f in self.factors for v, d in zip(f.scope, f.sizes)
+                     if (d, f.table.size // d) == shape]
+            table = self.frontiers[rule, shape] = frontier_boxes(pairs, rule == JOINT)
+        return table
 
     def intern(self, box: Box) -> int:
         """The id of ``box``, adding it if no box with its bytes has one yet."""
@@ -189,19 +220,21 @@ def _factor_message(reg: _Registry, rule: str, fid: int, keep: int, ids: tuple[i
     variable order; the pair's plan reads them in scope order. The ``JOINT``
     rule encloses them in one joint box (a simplex becomes the registry's [0,1]
     box on its variable) and enumerates its corners; the ``FACTORIZED`` rule
-    enumerates each set's extreme points separately.
+    enumerates each set's extreme points separately. The frontier table serves
+    a message whose children are all simplices, where it holds one.
     """
-    f, sets = reg.factors[fid], reg.sets
+    f, sets, n = reg.factors[fid], reg.sets, reg.num_variables
     plan = reg.plans.get((fid, keep))
     if plan is None:
         others = tuple(v for v in f.scope if v != keep)
-        plan = reg.plans[fid, keep] = (others, tuple(map(sorted(others).index, others)))
-    others, order = plan
-    if rule == JOINT:
-        n, full = reg.num_variables, reg.full
-        boxes = [full[i] if i < n else sets[i] for i in map(ids.__getitem__, order)]
+        shape = (reg.sizes[keep], prod(f.sizes) // reg.sizes[keep])
+        plan = reg.plans[fid, keep] = (others, tuple(map(sorted(others).index, others)), shape)
+    others, order, shape = plan
+    box = reg.frontier(rule, shape).get((fid, keep)) if max(ids, default=0) < n else None
+    if box is None and rule == JOINT:
+        boxes = [reg.full[i] if i < n else sets[i] for i in map(ids.__getitem__, order)]
         box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
-    else:
+    elif box is None:
         box = bound_sum_product(f, keep, {v: sets[ids[p]] for v, p in zip(others, order)})
     m = reg.factor_memo[(rule, fid, keep) + ids] = reg.intern(box)
     return m
@@ -248,7 +281,7 @@ class SawTree:
     "inner", "dead_end", "cycle", "truncated")``; and its children are the
     walks ``first[i]:first[i + 1]``, in ascending endpoint order. ``node_count``
     counts the nodes the builder spent its budget on: the walks that are not
-    ``truncated`` markers, plus, in a subtree, the dead nodes left unlisted.
+    ``truncated`` markers, plus, in a subtree, the dead nodes a full pass joins.
     """
 
     root: int
@@ -363,44 +396,50 @@ def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     parent, becomes a ``truncated`` marker and sends a simplex. A variable
     with a marker child sends its own simplex, so its other children and all
     below them are *dead*: they join in queue order but get no walks, as no
-    message of theirs can reach the root. ``node_count`` counts every joined
-    node. On pairwise factor graphs the joint rule of :func:`boxprop_sawtree`
-    gives the same box over this tree as the factorized rule of
-    :func:`boxprop_subtree`.
+    message of theirs can reach the root. The build stops once no live node
+    is left to expand. ``node_count`` is what a full pass would join: the
+    budget or the root's component, whichever is smaller. On pairwise factor
+    graphs the joint rule of :func:`boxprop_sawtree` gives the same box over
+    this tree as the factorized rule of :func:`boxprop_subtree`.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
     if not 0 <= root < g.num_variables:
         raise ValueError(f"root {root} is not a variable of the graph")
     reg = _registry(g)
-    n, nbrs, bit = reg.num_variables, reg.nbrs, reg.bit
+    n, nbrs = reg.num_variables, reg.nbrs
     end, prev, kind, first = [root], [-1], [_ROOT], []
     # Joined nodes in breadth-first order: endpoint, parent endpoint and walk
-    # index (-1 for a dead node). The tree's node set is one bitmask.
+    # index (-1 for a dead node); ``live`` counts the queued nodes not dead.
     queue = [(root, -1, 0)]
-    in_tree = bit[root]
-    count = 1
+    in_tree = bytearray(len(nbrs))
+    in_tree[root] = 1
+    count = live = 1
     for u, p, i in queue:
+        if not live:
+            break
         dead = i < 0  # whether the node's joined children are dead
         if not dead:
+            live -= 1
             while len(first) <= i:
                 first.append(len(end))
             if u < n:
                 # A marker child: a neighbour already in the tree, or one past the budget.
                 dead = count + len(nbrs[u]) - (p >= 0) > max_nodes
                 for w in nbrs[u]:
-                    if w != p and in_tree & bit[w]:
+                    if w != p and in_tree[w]:
                         dead = True
                         break
         for w in nbrs[u]:
             if w == p:
                 continue
-            if count < max_nodes and not in_tree & bit[w]:
+            if count < max_nodes and not in_tree[w]:
                 count += 1
-                in_tree |= bit[w]
+                in_tree[w] = 1
                 queue.append((w, u, -1 if dead else len(end)))
                 if dead:
                     continue
+                live += 1
                 kind.append(_INNER)
             elif i < 0:
                 continue
@@ -412,6 +451,7 @@ def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
             kind[i] = _DEAD_END
     while len(first) <= len(end):
         first.append(len(end))
+    count = min(max_nodes, reg.component_size[root])  # what a full pass joins
     return SawTree(root, count, g.num_variables, end, prev, kind, first)
 
 

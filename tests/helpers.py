@@ -46,6 +46,9 @@ def graph_from(tables):
 
 SYM_TABLE = (1.0, 2.0, 2.0, 1.0)
 
+# Declares one factor block but holds two; the second starts on line 10.
+OVERLONG_FG = "1\n\n1\n0\n2\n2\n0 1\n1 1\n\n1\n1\n2\n2\n0 1\n1 1\n"
+
 
 def triangle_graph(table=SYM_TABLE):
     """Binary variables 0,1,2 with pairwise couplings (0,1), (0,2), (1,2)."""

@@ -9,7 +9,7 @@ from boxprop import cli as cli_module
 from boxprop import propagation
 from boxprop.cli import main
 from boxprop.factorgraph import parse_fg, write_fg
-from helpers import graph_from, random_tree_graph, triangle_graph
+from helpers import OVERLONG_FG, graph_from, random_tree_graph, triangle_graph
 
 
 def run(capsys, *argv):
@@ -340,6 +340,17 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "--in", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+def test_validate_exits_2_on_blocks_past_the_declared_count(tmp_path, capsys):
+    # The second block used to be dropped silently, so every command answered
+    # for a one-factor graph.
+    path = tmp_path / "overlong.fg"
+    path.write_text(OVERLONG_FG)
+    code, out, err = run(capsys, "validate", "--in", str(path))
+    assert code == 2
+    assert "line 10: content past the declared 1 block(s)" in err
+    assert out == ""
 
 
 def test_help_exits_zero(capsys):

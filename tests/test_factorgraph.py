@@ -9,7 +9,7 @@ from boxprop.factorgraph import (
     validate,
     write_fg,
 )
-from helpers import graph_from, random_connected_graph, triangle_graph
+from helpers import OVERLONG_FG, graph_from, random_connected_graph, triangle_graph
 
 TRIANGLE_FG = """# three binary variables, three pairwise couplings
 3
@@ -107,6 +107,7 @@ def test_write_lists_zero_entries():
         ("1\n\n1\n5\n2\n0\n", "dense"),  # ids not dense
         ("1\n\n1\n0\n1\n0\n", ">= 2"),  # one-state variable
         ("2\n\n1\n0\n2\n0\n", "end of input"),  # truncated file
+        (OVERLONG_FG, "line 10: content past the declared 1 block(s): '1'"),
     ],
 )
 def test_parse_errors(text, said):

@@ -230,6 +230,14 @@ def test_extreme_points_capacity_cap():
         extreme_points(b)
 
 
+@pytest.mark.parametrize("d", [63, 64, 65])
+def test_corner_matrix_refuses_63_or_more_free_states(d):
+    # The corner count ``1 << n`` must be a Python int: with numpy's int64 it
+    # wrapped to a negative number or zero, passed the cap and gave no corners.
+    with pytest.raises(CapacityExceededError, match=f"box has {d} free states"):
+        box_corner_matrix(full_box(0, d))
+
+
 def corners_by_bit_formula(b):
     """Corner c takes upper at the k-th free state iff bit k of c is set."""
     lower, upper = b.lower.values, b.upper.values

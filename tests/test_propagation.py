@@ -3,6 +3,7 @@ import sys
 import threading
 import weakref
 from collections import Counter
+from math import prod
 
 import numpy as np
 import pytest
@@ -297,6 +298,32 @@ def test_subtree_lists_only_the_walks_that_reach_the_root(monkeypatch, cap):
     assert rescued > 0
 
 
+def test_early_stopping_subtree_builder_on_two_components():
+    # The builder stops once no live node is queued, so it never joins the
+    # dead nodes a full pass joins after the last live one; ``node_count``
+    # must still be the full pass's, capped by the root's component.
+    rng = np.random.default_rng(1301)
+    coupling = lambda d, e: rng.uniform(0.1, 2.0, d * e)
+    grid = [((r * 3 + c, r * 3 + c + 1), (2, 2), coupling(2, 2)) for r in range(3) for c in range(2)]
+    grid += [((k, k + 3), (2, 2), coupling(2, 2)) for k in range(6)]
+    grid += [((0,), (2,), coupling(2, 1)), ((4,), (2,), coupling(2, 1))]
+    triangle = [((9, 10), (3, 3), coupling(3, 3)), ((10, 11), (3, 3), coupling(3, 3)),
+                ((9, 11), (3, 3), coupling(3, 3)), ((9, 10, 11), (3, 3, 3), coupling(9, 3))]
+    g = graph_from(grid + triangle)
+    # Each component's variables and its number of bipartite nodes.
+    components = ((range(9), 9 + len(grid)), (range(9, 12), 3 + len(triangle)))
+    cut = 0
+    for variables, size in components:
+        for root in variables:
+            for budget in (1, 3, size // 2, size - 1, size, size + 1, 10_000):
+                ref = reference_build_subtree(g, root, budget)
+                assert ref.node_count == min(budget, size)
+                pruned = without_dead_walks(ref)
+                assert tree_fields(build_subtree(g, root, budget)) == tree_fields(pruned)
+                cut += len(pruned.end) < len(ref.end)
+    assert cut > 0
+
+
 # ------------------------------------------------------ SAW-tree propagation
 
 
@@ -499,12 +526,18 @@ def counting(monkeypatch, name):
 
 def test_memo_misses_are_the_distinct_messages(monkeypatch):
     # On this grid the 25 walk trees ask for 86,903 factor messages, of which
-    # 3,369 are distinct; only those reach the kernel.
+    # 3,369 are distinct; only those are computed. The frontier table serves
+    # the frontier messages (every child id a simplex: one per factor and
+    # kept variable on this grid), the kernel the rest.
     calls = counting(monkeypatch, "bound_sum_product_joint")
     g = gen_ising_grid(GridSpec(5, 5, 2, 1.0, 42))
     for r in range(g.num_variables):
         boxprop_sawtree(g, build_saw_tree(g, r, 5000))
-    assert calls[0] == 3_369
+    memo = propagation._REGISTRIES[g].factor_memo
+    frontier = sum(all(i < g.num_variables for i in key[3:]) for key in memo)
+    assert frontier == sum(len(f.scope) for f in g.factors) == 105
+    assert len(memo) == 3_369
+    assert calls[0] + frontier == 3_369
 
 
 def test_variable_memo_multiplies_each_distinct_product_once(monkeypatch):
@@ -645,6 +678,77 @@ def test_message_glue_equals_the_reference(monkeypatch):
     assert ZeroMeasureError in glue_outcomes(monkeypatch, g)
 
 
+def frontier_test_graph(rng, zeros):
+    """A random graph with domains 2-4, arity 1-4 and an extra unary factor.
+
+    With ``zeros``, one table is all zero and another has entries zeroed at
+    random (zero columns in some summed-out matrices). Graphs with a
+    ``(factor, keep)`` of 13 to 20 other states are redrawn: under the joint
+    rule each would enumerate 2**13 to 2**20 corners at the default cap.
+    """
+    while True:
+        g = random_connected_graph(rng, max_vars=7, max_domain=4, max_arity=4, max_extra=4)
+        tables = [[f.scope, f.sizes, f.table.copy()] for f in g.factors]
+        v = int(rng.integers(g.num_variables))
+        tables.append([(v,), (g.sizes[v],), rng.uniform(0.1, 2.0, g.sizes[v])])
+        if zeros:
+            a, b = rng.choice(len(tables), 2, replace=False)
+            tables[a][2][:] = 0.0
+            tables[b][2][rng.random(tables[b][2].size) < 0.5] = 0.0
+        if all(not 12 < prod(t[1]) // d <= 20 for t in tables for d in t[1]):
+            return graph_from(tables)
+
+
+def test_frontier_table_equals_the_per_message_kernels(monkeypatch):
+    # Every frontier table entry must be byte-equal to ``_factor_message`` on
+    # all-simplex children with the table bypassed; every pair left out must
+    # be one whose per-message call raises or masks a zero column other than
+    # the joint rule's all-zero corner.
+    bounding = measure._bounding_box_of_normalized
+    zero_columns = []
+
+    def counted(images, scope, sizes):
+        zero_columns.append(int(np.count_nonzero(np.add.reduce(images, axis=0) == 0.0)))
+        return bounding(images, scope, sizes)
+
+    rng = np.random.default_rng(1302)
+    seen = Counter()
+    default = measure.ENUMERATION_CAP
+    for cap, count in ((default, 40), (8, 20)):
+        monkeypatch.setattr(measure, "ENUMERATION_CAP", cap)
+        for k in range(count):
+            g = frontier_test_graph(rng, zeros=k % 3 == 0)
+            reg = propagation._registry(g)
+            for rule in (JOINT, FACTORIZED):
+                for f in g.factors:
+                    for keep, d in zip(f.scope, f.sizes):
+                        box = reg.frontier(rule, (d, prod(f.sizes) // d)).get((f.id, keep))
+                        ids = tuple(sorted(v for v in f.scope if v != keep))
+                        zero_columns.clear()
+                        with monkeypatch.context() as m:
+                            m.setattr(propagation._Registry, "frontier", lambda *args: {})
+                            m.setattr(measure, "_bounding_box_of_normalized", counted)
+                            try:
+                                want = reg.sets[propagation._factor_message(reg, rule, f.id, keep, ids)]
+                            except (CapacityExceededError, ZeroMeasureError) as e:
+                                want = type(e)
+                        corner = int(rule == JOINT and len(f.scope) > 1)  # the all-zero corner
+                        if box is not None:
+                            assert zero_columns == [corner]
+                            assert (box.scope, box.sizes) == (want.scope, want.sizes) == ((keep,), (d,))
+                            assert box.lower.values.tobytes() == want.lower.values.tobytes()
+                            assert box.upper.values.tobytes() == want.upper.values.tobytes()
+                            seen["served"] += 1
+                        elif isinstance(want, type):
+                            seen[cap, want] += 1
+                        else:
+                            assert zero_columns[0] > corner
+                            seen["masked"] += 1
+    for case in ("served", "masked", (8, CapacityExceededError), (default, CapacityExceededError)):
+        assert seen[case] > 0, case
+    assert seen[8, ZeroMeasureError] > 0 and seen[default, ZeroMeasureError] > 0
+
+
 TRACED_KERNELS = {
     "bound_sum_product_joint": 3,
     "bound_sum_product": 3,
@@ -657,7 +761,10 @@ TRACED_KERNELS = {
 def test_engine_calls_each_traced_kernel_once_per_miss(monkeypatch):
     # The benchmark's tracer wraps these five names in ``propagation`` and
     # unpacks their positional arguments, so the engine must call each through
-    # that namespace, positionally, once per miss or non-vacuous root.
+    # that namespace, positionally, once per miss or non-vacuous root. A
+    # frontier miss (every child id a simplex) is served from the frontier
+    # table and calls none of them; on these positive tables under the default
+    # cap the table holds every frontier message.
     calls = Counter()
 
     def counted(name, kernel, arity):
@@ -684,7 +791,9 @@ def test_engine_calls_each_traced_kernel_once_per_miss(monkeypatch):
                     roots += not vacuous
                     vacuous_seen += vacuous
         reg = propagation._REGISTRIES[g]
-        rules = Counter(key[0] for key in reg.factor_memo)
+        rules = Counter(
+            key[0] for key in reg.factor_memo if max(key[3:], default=0) >= g.num_variables
+        )
         products = sum(len(key) > 1 for key in reg.var_memo)
         assert calls == Counter({
             "bound_sum_product_joint": rules[JOINT],
