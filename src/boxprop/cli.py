@@ -69,16 +69,22 @@ def cli():
     """Rigorous per-variable bounds on factor-graph marginals."""
 
 
+def _positive_finite(ctx, param, value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise click.BadParameter(f"want a positive finite number, got {value!r}")
+    return value
+
+
 @cli.group()
 def gen():
     """Generate benchmark factor graphs."""
 
 
 @gen.command("grid")
-@click.option("--rows", type=int, required=True)
-@click.option("--cols", type=int, required=True)
+@click.option("--rows", type=click.IntRange(min=1), required=True)
+@click.option("--cols", type=click.IntRange(min=1), required=True)
 @click.option("--domain", type=click.Choice(["2", "3"]), default="2", show_default=True)
-@click.option("--beta", type=float, default=1.0, show_default=True)
+@click.option("--beta", type=float, default=1.0, show_default=True, callback=_positive_finite)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def gen_grid(rows, cols, domain, beta, seed, out_path):
@@ -140,12 +146,6 @@ def bound_cmd(method, in_path, root, max_nodes, out_path):
         records.append(DetailRecord.of(res, (perf_counter() - t0) * 1e3))
     _emit(detail_lines(records), out_path)
     return 0
-
-
-def _positive_finite(ctx, param, value: float) -> float:
-    if not 0.0 < value < math.inf:
-        raise click.BadParameter(f"want a positive finite number, got {value!r}")
-    return value
 
 
 def _damping(ctx, param, value: float) -> float:

@@ -419,39 +419,34 @@ def bound_sum_product_joint(factor: Factor, keep: int, incoming_joint: Box) -> B
     return _bounding_box_of_normalized(images, (keep,), (d_keep,))
 
 
-def frontier_boxes(pairs: Sequence[tuple[Factor, int]], joint: bool) -> dict[tuple[int, int], Box]:
-    """Each ``(factor, keep)``'s box when every child is a simplex, keyed by id and keep.
+def frontier_boxes(factors: Iterable[Factor]) -> dict[tuple[int, int], Box]:
+    """Each ``(factor id, keep)``'s box when every other scope variable sends a simplex.
 
-    The pairs' ``(d, K)`` summed-out matrices are stacked. A box has the bytes
-    of :func:`bound_sum_product` (images: the matrix, as ``S @ I`` is ``S``) or,
-    with ``joint``, :func:`bound_sum_product_joint` on the [0,1] box (``S @
-    corners.T`` less the all-zero corner, in chunks no larger than the ``2**K x
-    K`` corner matrix). Pairs whose call would raise or mask another zero
-    column are left out.
+    The box is the smallest one around the normalized columns of the pair's
+    summed-out matrix, with the bytes of :func:`bound_sum_product` on simplex
+    children (images ``S @ I``, which is ``S``). Every normalized image of a
+    corner of the [0,1] box on the other variables is a convex combination of
+    those columns, so it is also the exact box of
+    :func:`bound_sum_product_joint` on that box, and no corner is enumerated.
+    Matrices of one shape are stacked and bounded together. Pairs with a zero
+    column or more than ``ENUMERATION_CAP`` columns are left out.
     """
-    mats = np.stack([_summed_out_matrix(f, keep) for f, keep in pairs])
-    count, d, k = mats.shape
-    if k > 1 and (1 << k if joint else k) > ENUMERATION_CAP:
-        return {}
-    corners = joint and k > 1  # a unary factor's joint image is its matrix too
-    corners_t = np.where(_corner_table(k), 1.0, 0.0).T if corners else None
-    step = max(1, k // d) if corners else count
-    lower, upper, zmin = np.empty((count, d)), np.empty((count, d)), np.empty(count)
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero columns: left out below
-        for start in range(0, count, step):
-            part = slice(start, start + step)
-            images = mats[part] @ corners_t if corners else mats[part]
-            z = np.add.reduce(images, axis=1)
-            if corners:
-                images, z = images[:, :, 1:], z[:, 1:]
-            np.minimum.reduce(z, axis=1, out=zmin[part])
-            norm = images / z[:, None, :]
-            np.minimum.reduce(norm, axis=2, out=lower[part])
-            np.maximum.reduce(norm, axis=2, out=upper[part])
+    groups: dict[tuple[int, int], list[tuple[Factor, int]]] = {}
+    for f in factors:
+        for v, d in zip(f.scope, f.sizes):
+            groups.setdefault((d, f.table.size // d), []).append((f, v))
     boxes = {}
-    for r in (zmin > 0.0).nonzero()[0].tolist():
-        f, v = pairs[r]
-        boxes[f.id, v] = Box._new(*(Measure._new((v,), (d,), b[r]) for b in (lower, upper)))
+    for (d, k), pairs in groups.items():
+        if k > ENUMERATION_CAP:
+            continue
+        mats = np.stack([_summed_out_matrix(f, v) for f, v in pairs])
+        z = np.add.reduce(mats, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero columns: left out below
+            norm = mats / z[:, None, :]
+        lower, upper = np.minimum.reduce(norm, axis=2), np.maximum.reduce(norm, axis=2)
+        for r in (np.minimum.reduce(z, axis=1) > 0.0).nonzero()[0].tolist():
+            f, v = pairs[r]
+            boxes[f.id, v] = Box._new(*(Measure._new((v,), (d,), b[r]) for b in (lower, upper)))
     return boxes
 
 

@@ -32,9 +32,9 @@ and exact bytes). A variable memo keyed on the variable and its children's
 ids, and a factor memo keyed on the rule, factor, parent variable and
 children's ids, make a repeated local neighbourhood cost one tuple and one
 dict lookup; walk trees repeat neighbourhoods many times. A factor whose
-children all send simplices sends a constant: such frontier messages are
-stacked once per graph, rule and matrix shape, bypassing the five traced
-kernels. A key fixes its inputs' bytes and order and the kernels are
+children all send simplices sends a constant, the same under both rules:
+such frontier messages come from one table per graph, bypassing the five
+traced kernels. A key fixes its inputs' bytes and order and the kernels are
 deterministic, so every bound is bit-identical to an unmemoized run.
 
 The registry holding the table, both memos and the cached adjacency is held
@@ -119,7 +119,8 @@ class _Registry:
     ``i`` is variable ``i``, or factor ``i - num_variables``; ``nbrs[i]`` lists
     its neighbours in ascending id order; ``bit[i]`` is ``1 << i`` for walk
     masks (``N**2 / 16`` bytes for ``N`` nodes). ``plans`` maps ``(fid, keep)``
-    to the other scope variables, their child positions and matrix shape.
+    to the other scope variables and their child positions, and ``frontier``
+    to the message both rules send when every child is a simplex.
     """
 
     def __init__(self, g: FactorGraph):
@@ -132,7 +133,6 @@ class _Registry:
         self.var_memo: dict[tuple, int] = {}
         self.factor_memo: dict[tuple, int] = {}
         self.plans: dict[tuple[int, int], tuple] = {}
-        self.frontiers: dict[tuple, dict] = {}
         self.nbrs: tuple[tuple[int, ...], ...] = tuple(
             tuple(n + fid for fid in g.var_factors(v)) for v in range(n)
         ) + tuple(tuple(sorted(f.scope)) for f in g.factors)
@@ -162,17 +162,13 @@ class _Registry:
                 sizes.append(len(comp))
         return [sizes[c] for c in label]
 
-    def frontier(self, rule: str, shape: tuple[int, int]) -> dict[tuple[int, int], Box]:
-        """Frontier messages under ``rule`` of every ``(fid, keep)`` with matrix ``shape``.
+    @cached_property
+    def frontier(self) -> dict[tuple[int, int], Box]:
+        """Every ``(fid, keep)``'s frontier message that ``frontier_boxes`` holds.
 
-        Built on first use, published by one assignment: racing threads build equal tables.
+        Built on the first frontier miss; racing threads build equal tables.
         """
-        table = self.frontiers.get((rule, shape))
-        if table is None:
-            pairs = [(f, v) for f in self.factors for v, d in zip(f.scope, f.sizes)
-                     if (d, f.table.size // d) == shape]
-            table = self.frontiers[rule, shape] = frontier_boxes(pairs, rule == JOINT)
-        return table
+        return frontier_boxes(self.factors)
 
     def intern(self, box: Box) -> int:
         """The id of ``box``, adding it if no box with its bytes has one yet."""
@@ -220,18 +216,19 @@ def _factor_message(reg: _Registry, rule: str, fid: int, keep: int, ids: tuple[i
     variable order; the pair's plan reads them in scope order. The ``JOINT``
     rule encloses them in one joint box (a simplex becomes the registry's [0,1]
     box on its variable) and enumerates its corners; the ``FACTORIZED`` rule
-    enumerates each set's extreme points separately. The frontier table serves
-    a message whose children are all simplices, where it holds one.
+    enumerates each set's extreme points separately. With simplices only, both
+    rules send the factorized box, as the joint corner images are convex
+    combinations of the factor's columns; the frontier table holds most.
     """
     f, sets, n = reg.factors[fid], reg.sets, reg.num_variables
     plan = reg.plans.get((fid, keep))
     if plan is None:
         others = tuple(v for v in f.scope if v != keep)
-        shape = (reg.sizes[keep], prod(f.sizes) // reg.sizes[keep])
-        plan = reg.plans[fid, keep] = (others, tuple(map(sorted(others).index, others)), shape)
-    others, order, shape = plan
-    box = reg.frontier(rule, shape).get((fid, keep)) if max(ids, default=0) < n else None
-    if box is None and rule == JOINT:
+        plan = reg.plans[fid, keep] = (others, tuple(map(sorted(others).index, others)))
+    others, order = plan
+    simplices_only = max(ids, default=0) < n
+    box = reg.frontier.get((fid, keep)) if simplices_only else None
+    if rule == JOINT and not simplices_only:
         boxes = [reg.full[i] if i < n else sets[i] for i in map(ids.__getitem__, order)]
         box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
     elif box is None:

@@ -49,6 +49,17 @@ SYM_TABLE = (1.0, 2.0, 2.0, 1.0)
 # Declares one factor block but holds two; the second starts on line 10.
 OVERLONG_FG = "1\n\n1\n0\n2\n2\n0 1\n1 1\n\n1\n1\n2\n2\n0 1\n1 1\n"
 
+# A ternary 4-ary factor on (0, 1, 2, 3) and a pairwise factor (0, 4). At a
+# budget of 3 every child of the root's factors is cut off, so both send
+# frontier messages, the 4-ary one over 27 other states (the joint rule's
+# [0,1] box on them has 2**27 corners). CI writes the same file.
+WIDE_FACTOR_FG = (
+    "2\n\n4\n0 1 2 3\n3 3 3 3\n81\n"
+    + "".join(f"{i} {i % 7 + 1}\n" for i in range(81))
+    + "\n2\n0 4\n3 3\n9\n"
+    + "".join(f"{i} {i % 4 + 1}\n" for i in range(9))
+)
+
 
 def triangle_graph(table=SYM_TABLE):
     """Binary variables 0,1,2 with pairwise couplings (0,1), (0,2), (1,2)."""
@@ -355,7 +366,10 @@ def reference_factor_message(reg, rule, fid, keep, ids):
 
     The other scope variables are sorted afresh to pair them with ``ids``, an
     ``incoming`` dict maps each to its set, and under the joint rule each
-    simplex child becomes a fresh :func:`full_box` before the public kernels run.
+    simplex child becomes a fresh :func:`full_box` before the public kernels
+    run. When every child is a simplex both rules send the factorized kernel's
+    box: the joint rule's normalized corner images are convex combinations of
+    the normalized columns that box encloses.
     """
     key = (rule, fid, keep) + ids
     m = reg.factor_memo.get(key)
@@ -363,7 +377,7 @@ def reference_factor_message(reg, rule, fid, keep, ids):
         f = reg.factors[fid]
         others = [v for v in sorted(f.scope) if v != keep]
         incoming = {v: reg.sets[i] for v, i in zip(others, ids)}
-        if rule == JOINT:
+        if rule == JOINT and not all(isinstance(s, Simplex) for s in incoming.values()):
             boxes = [
                 full_box(v, reg.sizes[v]) if isinstance(incoming[v], Simplex) else incoming[v]
                 for v in f.scope

@@ -9,7 +9,7 @@ from boxprop import cli as cli_module
 from boxprop import propagation
 from boxprop.cli import main
 from boxprop.factorgraph import parse_fg, write_fg
-from helpers import OVERLONG_FG, graph_from, random_tree_graph, triangle_graph
+from helpers import OVERLONG_FG, WIDE_FACTOR_FG, graph_from, random_tree_graph, triangle_graph
 
 
 def run(capsys, *argv):
@@ -73,6 +73,50 @@ def test_gen_grid_overflow_is_exit_2(tmp_path, capsys):
     assert code == 2
     assert "overflows exp" in err
     assert not fg.exists()
+
+
+def graph_never_generated(spec):
+    raise AssertionError("the grid was generated before the options were checked")
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("--rows", "0"),
+        ("--cols", "-2"),
+        ("--beta", "0"),
+        ("--beta", "-1"),
+        ("--beta", "nan"),
+        ("--beta", "inf"),
+    ],
+)
+def test_gen_grid_refuses_bad_options_before_generating(tmp_path, capsys, monkeypatch, option):
+    monkeypatch.setattr(cli_module, "gen_ising_grid", graph_never_generated)
+    monkeypatch.setattr(cli_module, "gen_ternary_grid", graph_never_generated)
+    fg = tmp_path / "g.fg"
+    code, out, err = run(
+        capsys, "gen", "grid", "--rows", "3", "--cols", "3", *option, "--out", str(fg),
+    )
+    assert code == 1 and out == ""
+    assert option[0] in err
+    assert not fg.exists()
+
+
+def test_bound_sawtree_serves_a_wide_frontier_message(tmp_path, capsys):
+    # The root's 4-ary ternary factor sends a frontier message over 27 other
+    # states; the joint rule used to enumerate 2**27 corners and exit 2.
+    path = tmp_path / "wide.fg"
+    path.write_text(WIDE_FACTOR_FG)
+    boxes = {}
+    for method in ("sawtree", "subtree"):
+        code, out, _ = run(
+            capsys, "bound", "--method", method, "--max-nodes", "3", "--root", "0",
+            "--in", str(path),
+        )
+        assert code == 0
+        rec = json.loads(out)
+        boxes[method] = (rec["lower"], rec["upper"])
+    assert boxes["sawtree"] == boxes["subtree"]
 
 
 def test_bound_time_covers_tree_build(triangle_file, capsys, monkeypatch):

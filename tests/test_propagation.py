@@ -10,8 +10,8 @@ import pytest
 
 from boxprop import measure, propagation
 from boxprop.errors import CapacityExceededError, ZeroMeasureError
-from boxprop.factorgraph import validate
-from boxprop.measure import Box, Measure
+from boxprop.factorgraph import parse_fg, validate
+from boxprop.measure import Box, Measure, Simplex, box_product_disjoint_sbb, full_box
 from boxprop.propagation import (
     FAC,
     FACTORIZED,
@@ -26,6 +26,7 @@ from boxprop.propagation import (
 )
 from boxprop.bench import GridSpec, gap, gen_ising_grid, gen_ternary_grid, run_method
 from helpers import (
+    WIDE_FACTOR_FG,
     box_contains,
     graph_from,
     random_connected_graph,
@@ -270,19 +271,29 @@ def propagated(g, t, rule):
 def test_subtree_lists_only_the_walks_that_reach_the_root(monkeypatch, cap):
     # A variable with a marker child sends its simplex, so the walks below its
     # other children are left out and the bound cannot change. A walk left out
-    # can still fail on the reference tree (the joint rule past the cap, at the
-    # default cap too); the engine's box must then contain the exact marginal.
+    # can still fail on the reference tree (the joint rule past the cap); the
+    # engine's box must then contain the exact marginal. In the first graph,
+    # variable 2 has a marker child (factor (1, 2) is already in the tree), and
+    # its dead branch holds a non-frontier joint message through the ternary
+    # factor (2, 3, 4, 5): 3 sends its unary table, 4 the frontier box of
+    # factor (4, 5), and 5 a simplex, so the joint box has 2**27 corners.
     if cap is not None:
         monkeypatch.setattr(measure, "ENUMERATION_CAP", cap)
+    tables = np.random.default_rng(1211)
+    scopes = [(0, 1), (0, 2), (1, 2), (2, 3, 4, 5), (3,), (4, 5)]
+    dead_branch = graph_from([(s, (3,) * len(s), tables.uniform(0.1, 2.0, 3 ** len(s))) for s in scopes])
     rng = np.random.default_rng(1210)
     rescued = 0
-    for _ in range(100):
-        g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=4)
-        unary = rng.choice(g.num_variables, int(rng.integers(1, 3)), replace=False)
-        g = graph_from(
-            [(f.scope, f.sizes, f.table) for f in g.factors]
-            + [((int(v),), (g.sizes[v],), rng.uniform(0.1, 2.0, g.sizes[v])) for v in unary]
-        )
+    for k in range(101):
+        if k == 0:
+            g = dead_branch
+        else:
+            g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=4)
+            unary = rng.choice(g.num_variables, int(rng.integers(1, 3)), replace=False)
+            g = graph_from(
+                [(f.scope, f.sizes, f.table) for f in g.factors]
+                + [((int(v),), (g.sizes[v],), rng.uniform(0.1, 2.0, g.sizes[v])) for v in unary]
+            )
         exact = exact_marginals(g, "brute")
         for root in range(g.num_variables):
             for budget in (1, 2, 5, 12, 60, 100_000):
@@ -679,18 +690,25 @@ def test_message_glue_equals_the_reference(monkeypatch):
 
 
 def frontier_test_graph(rng, zeros):
-    """A random graph with domains 2-4, arity 1-4 and an extra unary factor.
+    """A random graph with domains 2-4, arity 1-4, a unary and a product-form factor.
 
-    With ``zeros``, one table is all zero and another has entries zeroed at
-    random (zero columns in some summed-out matrices). Graphs with a
-    ``(factor, keep)`` of 13 to 20 other states are redrawn: under the joint
-    rule each would enumerate 2**13 to 2**20 corners at the default cap.
+    The product-form table is an outer product of positive vectors, so its
+    summed-out matrices have proportional columns. With ``zeros``, one table
+    is all zero and another has entries zeroed at random (zero columns in
+    some summed-out matrices). Graphs with a ``(factor, keep)`` of 13 to 20
+    other states are redrawn: the joint kernel on the [0,1] box would
+    enumerate 2**13 to 2**20 corners at the default cap.
     """
     while True:
         g = random_connected_graph(rng, max_vars=7, max_domain=4, max_arity=4, max_extra=4)
         tables = [[f.scope, f.sizes, f.table.copy()] for f in g.factors]
         v = int(rng.integers(g.num_variables))
         tables.append([(v,), (g.sizes[v],), rng.uniform(0.1, 2.0, g.sizes[v])])
+        scope = tuple(int(u) for u in rng.choice(g.num_variables, 2, replace=False))
+        table = np.ones(1)
+        for u in scope:
+            table = np.multiply.outer(rng.uniform(0.1, 2.0, g.sizes[u]), table).ravel()
+        tables.append([scope, tuple(g.sizes[u] for u in scope), table])
         if zeros:
             a, b = rng.choice(len(tables), 2, replace=False)
             tables[a][2][:] = 0.0
@@ -700,10 +718,14 @@ def frontier_test_graph(rng, zeros):
 
 
 def test_frontier_table_equals_the_per_message_kernels(monkeypatch):
-    # Every frontier table entry must be byte-equal to ``_factor_message`` on
-    # all-simplex children with the table bypassed; every pair left out must
-    # be one whose per-message call raises or masks a zero column other than
-    # the joint rule's all-zero corner.
+    # Every frontier table entry must be byte-equal to ``bound_sum_product``
+    # on simplex children, and every pair left out must be one whose call
+    # raises or masks a zero column; the engine's message under either rule
+    # must be that call's box or error. Wherever ``bound_sum_product_joint`` on
+    # the [0,1] box succeeds, the entry lies inside its box with zero slack:
+    # the joint rule's normalized corner images are convex combinations of
+    # the normalized columns, and proportional columns put some entries
+    # strictly inside, where rounding spreads the joint images.
     bounding = measure._bounding_box_of_normalized
     zero_columns = []
 
@@ -719,34 +741,66 @@ def test_frontier_table_equals_the_per_message_kernels(monkeypatch):
         for k in range(count):
             g = frontier_test_graph(rng, zeros=k % 3 == 0)
             reg = propagation._registry(g)
-            for rule in (JOINT, FACTORIZED):
-                for f in g.factors:
-                    for keep, d in zip(f.scope, f.sizes):
-                        box = reg.frontier(rule, (d, prod(f.sizes) // d)).get((f.id, keep))
-                        ids = tuple(sorted(v for v in f.scope if v != keep))
-                        zero_columns.clear()
-                        with monkeypatch.context() as m:
-                            m.setattr(propagation._Registry, "frontier", lambda *args: {})
-                            m.setattr(measure, "_bounding_box_of_normalized", counted)
-                            try:
-                                want = reg.sets[propagation._factor_message(reg, rule, f.id, keep, ids)]
-                            except (CapacityExceededError, ZeroMeasureError) as e:
-                                want = type(e)
-                        corner = int(rule == JOINT and len(f.scope) > 1)  # the all-zero corner
-                        if box is not None:
-                            assert zero_columns == [corner]
-                            assert (box.scope, box.sizes) == (want.scope, want.sizes) == ((keep,), (d,))
-                            assert box.lower.values.tobytes() == want.lower.values.tobytes()
-                            assert box.upper.values.tobytes() == want.upper.values.tobytes()
-                            seen["served"] += 1
-                        elif isinstance(want, type):
+            table = reg.frontier
+            for f in g.factors:
+                for keep, d in zip(f.scope, f.sizes):
+                    box = table.get((f.id, keep))
+                    others = [(v, g.sizes[v]) for v in f.scope if v != keep]
+                    zero_columns.clear()
+                    with monkeypatch.context() as m:
+                        m.setattr(measure, "_bounding_box_of_normalized", counted)
+                        try:
+                            want = measure.bound_sum_product(
+                                f, keep, {v: Simplex(v, dv) for v, dv in others})
+                        except (CapacityExceededError, ZeroMeasureError) as e:
+                            want = type(e)
+                    ids = tuple(sorted(v for v, _ in others))
+                    for rule in (JOINT, FACTORIZED):
+                        try:
+                            got = reg.sets[propagation._factor_message(reg, rule, f.id, keep, ids)]
+                        except (CapacityExceededError, ZeroMeasureError) as e:
+                            assert want is type(e)
+                        else:
+                            assert got.lower.values.tobytes() == want.lower.values.tobytes()
+                            assert got.upper.values.tobytes() == want.upper.values.tobytes()
+                    if box is None:
+                        if isinstance(want, type):
                             seen[cap, want] += 1
                         else:
-                            assert zero_columns[0] > corner
+                            assert zero_columns[0] > 0
                             seen["masked"] += 1
-    for case in ("served", "masked", (8, CapacityExceededError), (default, CapacityExceededError)):
+                        continue
+                    assert zero_columns == [0]
+                    assert (box.scope, box.sizes) == (want.scope, want.sizes) == ((keep,), (d,))
+                    assert box.lower.values.tobytes() == want.lower.values.tobytes()
+                    assert box.upper.values.tobytes() == want.upper.values.tobytes()
+                    seen["served"] += 1
+                    try:
+                        joint = measure.bound_sum_product_joint(
+                            f, keep, box_product_disjoint_sbb([full_box(v, dv) for v, dv in others]))
+                    except CapacityExceededError:
+                        seen[cap, "joint past the cap"] += 1
+                        continue
+                    lo, hi = box.lower.values, box.upper.values
+                    assert (joint.lower.values <= lo).all() and (hi <= joint.upper.values).all()
+                    if (joint.lower.values < lo).any() or (hi < joint.upper.values).any():
+                        seen["strictly inside"] += 1
+    for case in ("served", "masked", "strictly inside", (8, CapacityExceededError),
+                 (8, "joint past the cap"), (default, "joint past the cap")):
         assert seen[case] > 0, case
     assert seen[8, ZeroMeasureError] > 0 and seen[default, ZeroMeasureError] > 0
+
+
+def test_frontier_messages_enumerate_no_corners():
+    # The joint rule used to enumerate the 2**27 corners of the [0,1] box on
+    # (1, 2, 3) and raise CapacityExceededError; both rules now read one
+    # frontier table, so the methods give the same box over the same tree.
+    g = parse_fg(WIDE_FACTOR_FG)
+    saw, sub = run_method(g, "sawtree", 0, 3).box, run_method(g, "subtree", 0, 3).box
+    assert saw.lower.values.tobytes() == sub.lower.values.tobytes()
+    assert saw.upper.values.tobytes() == sub.upper.values.tobytes()
+    assert box_contains(saw, exact_marginals(g, "brute")[0].values)
+    assert (saw.lower.values < saw.upper.values).all()
 
 
 TRACED_KERNELS = {
