@@ -85,7 +85,7 @@ def gen():
 @click.option("--cols", type=click.IntRange(min=1), required=True)
 @click.option("--domain", type=click.Choice(["2", "3"]), default="2", show_default=True)
 @click.option("--beta", type=float, default=1.0, show_default=True, callback=_positive_finite)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def gen_grid(rows, cols, domain, beta, seed, out_path):
     """Seeded random grid (binary spin glass or ternary pairwise)."""

@@ -11,9 +11,9 @@ the corners of a box, or the one-hot measures of a simplex.
 All operations are pure functions of immutable inputs and are safe to call
 concurrently. They are also deterministic: equal input bytes give equal output
 bytes. ``boxprop.propagation`` relies on that to memoize variable and factor
-messages per graph, keyed on interned ids that each stand for one box's exact
-bytes (at most ``MESSAGE_MEMO_CAP`` entries per graph node before a fresh
-memo is started), so a memo hit is bit-identical to a recomputation. The
+messages per graph, keyed on the very boxes a message was computed from (at
+most ``MESSAGE_MEMO_CAP`` entries per graph node before the memos are
+cleared), so a memo hit is bit-identical to a recomputation. The
 only state kept here: per factor, its table as one C-contiguous summed-out
 matrix per scope variable (all built on the factor's first use, each by one
 reshape, transpose and copy; the cache dies with the factor); and read-only
@@ -162,7 +162,10 @@ def marginalize_out(m: Measure, drop: Iterable[int]) -> Measure:
 
 @dataclass(eq=False, slots=True)
 class Box:
-    """All measures between a pointwise lower and upper bound on one scope."""
+    """All measures between a pointwise lower and upper bound on one scope.
+
+    ``eq=False`` keeps identity hashing, which ``propagation``'s memo keys need.
+    """
 
     lower: Measure
     upper: Measure

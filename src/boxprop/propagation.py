@@ -26,24 +26,23 @@ the subtree method :func:`build_subtree`'s with the factorized rule. The
 linked :class:`SawNode` view (``SawTree.root_node``) is built only on first
 access, for inspection; the engine never reads it.
 
-Messages are small ints: each id indexes a per-graph intern table of message
-sets (below ``num_variables`` the simplices, above them boxes keyed by scope
-and exact bytes). A variable memo keyed on the variable and its children's
-ids, and a factor memo keyed on the rule, factor, parent variable and
-children's ids, make a repeated local neighbourhood cost one tuple and one
-dict lookup; walk trees repeat neighbourhoods many times. A factor whose
-children all send simplices sends a constant, the same under both rules:
-such frontier messages come from one table per graph, bypassing the five
-traced kernels. A key fixes its inputs' bytes and order and the kernels are
-deterministic, so every bound is bit-identical to an unmemoized run.
+A message is the int ``v``, standing for the simplex on variable ``v``, or a
+:class:`Box`. A variable memo keyed on the variable and its children's
+messages, and a factor memo keyed on the rule, factor, parent variable and
+children's messages, make a repeated local neighbourhood cost one tuple and
+one dict lookup; walk trees repeat neighbourhoods many times. The keys rely
+on ``Box`` staying ``eq=False``, so that a box hashes by identity. A factor
+whose children all send simplices sends a constant, the same under both
+rules: such frontier messages come from one table per graph, bypassing the
+five traced kernels. A key fixes its inputs' bytes and order and the kernels
+are deterministic, so every bound is bit-identical to an unmemoized run.
 
-The registry holding the table, both memos and the cached adjacency is held
+The registry holding both memos, the table and the cached adjacency is held
 weakly by graph, made on the first root, and dies with the graph. A root that
 starts on a registry whose memos exceed ``MESSAGE_MEMO_CAP`` entries per
-bipartite node swaps in a fresh one; a root in flight keeps its own, so no id
-it holds is invalidated. Distinct roots and methods can run concurrently:
-interning runs under a lock, so one id never names two boxes, and two roots
-that miss on one key store the same id. A single pass is sequential.
+bipartite node clears both memos in place; a root in flight keeps the boxes
+it holds. Distinct roots and methods can run concurrently: two roots that
+miss on one key store byte-equal boxes. A single pass is sequential.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from .factorgraph import FactorGraph
 from .measure import (
     Box,
     Measure,
-    MessageSet,
     Simplex,
     bound_sum_product,
     bound_sum_product_joint,
@@ -111,16 +109,17 @@ _MEMO_LOCK = Lock()
 
 
 class _Registry:
-    """One graph's interned message sets, both message memos and its adjacency.
+    """One graph's message memos, its adjacency and its constant messages.
 
-    ``var_memo`` maps ``(v, *child ids)`` and ``factor_memo`` maps ``(rule,
-    fid, keep, *child ids)`` to the id of the message sent, a factor's child
-    ids following its other scope variables in ascending order. Bipartite node
-    ``i`` is variable ``i``, or factor ``i - num_variables``; ``nbrs[i]`` lists
-    its neighbours in ascending id order; ``bit[i]`` is ``1 << i`` for walk
-    masks (``N**2 / 16`` bytes for ``N`` nodes). ``plans`` maps ``(fid, keep)``
-    to the other scope variables and their child positions, and ``frontier``
-    to the message both rules send when every child is a simplex.
+    ``var_memo`` maps ``(v, *child messages)`` and ``factor_memo`` maps
+    ``(rule, fid, keep, *child messages)`` to the box sent, a factor's
+    children following its other scope variables in ascending order. Bipartite
+    node ``i`` is variable ``i``, or factor ``i - num_variables``; ``nbrs[i]``
+    lists its neighbours in ascending id order; ``bit[i]`` is ``1 << i`` for
+    walk masks (``N**2 / 16`` bytes for ``N`` nodes). ``simplex[v]`` is the
+    simplex on ``v``; ``plans`` maps ``(fid, keep)`` to the other scope
+    variables and their child positions, and ``frontier`` to the message both
+    rules send when every child is a simplex.
     """
 
     def __init__(self, g: FactorGraph):
@@ -128,10 +127,9 @@ class _Registry:
         self.num_variables = n
         self.factors = g.factors
         self.sizes = g.sizes
-        self.sets: list[MessageSet] = [Simplex(v, d) for v, d in enumerate(self.sizes)]
-        self.index: dict[tuple, int] = {}
-        self.var_memo: dict[tuple, int] = {}
-        self.factor_memo: dict[tuple, int] = {}
+        self.simplex = [Simplex(v, d) for v, d in enumerate(self.sizes)]
+        self.var_memo: dict[tuple, Box] = {}
+        self.factor_memo: dict[tuple, Box] = {}
         self.plans: dict[tuple[int, int], tuple] = {}
         self.nbrs: tuple[tuple[int, ...], ...] = tuple(
             tuple(n + fid for fid in g.var_factors(v)) for v in range(n)
@@ -170,49 +168,39 @@ class _Registry:
         """
         return frontier_boxes(self.factors)
 
-    def intern(self, box: Box) -> int:
-        """The id of ``box``, adding it if no box with its bytes has one yet."""
-        key = (box.scope, box.lower.values.tobytes(), box.upper.values.tobytes())
-        with _MEMO_LOCK:
-            i = self.index.get(key)
-            if i is None:
-                i = self.index[key] = len(self.sets)
-                self.sets.append(box)
-        return i
-
 
 _REGISTRIES: "WeakKeyDictionary[FactorGraph, _Registry]" = WeakKeyDictionary()
 
 
 def _registry(g: FactorGraph) -> _Registry:
-    """The graph's registry, made on first use and swapped for a fresh one when full.
-
-    A caller keeps the registry it got for a whole pass, so a swap by another
-    root never invalidates the ids it holds.
-    """
+    """The graph's registry, made on first use; both memos are cleared when full."""
     with _MEMO_LOCK:
         reg = _REGISTRIES.get(g)
-        cap = MESSAGE_MEMO_CAP * (g.num_variables + g.num_factors)
-        if reg is None or len(reg.var_memo) + len(reg.factor_memo) > cap:
+        if reg is None:
             reg = _REGISTRIES[g] = _Registry(g)
+        elif len(reg.var_memo) + len(reg.factor_memo) > MESSAGE_MEMO_CAP * len(reg.nbrs):
+            reg.var_memo.clear()
+            reg.factor_memo.clear()
     return reg
 
 
-def _variable_message(reg: _Registry, v: int, ids: tuple[int, ...]) -> int:
-    """Id of the message variable ``v`` sends, computed on a variable-memo miss.
+def _variable_message(reg: _Registry, v: int, kids: tuple[Box, ...]) -> Box:
+    """The box variable ``v`` sends, computed on a variable-memo miss.
 
-    ``ids`` holds its children's ids, none of them ``v``'s simplex (which
-    absorbs the product); no children send the unit box.
+    ``kids`` holds its children's boxes, none a simplex (which absorbs the
+    product); no children send the unit box.
     """
-    box = box_product_same_scope([reg.sets[i] for i in ids]) if ids else unit_box(v, reg.sizes[v])
-    m = reg.var_memo[(v,) + ids] = reg.intern(box)
-    return m
+    box = box_product_same_scope(kids) if kids else unit_box(v, reg.sizes[v])
+    reg.var_memo[(v,) + kids] = box
+    return box
 
 
-def _factor_message(reg: _Registry, rule: str, fid: int, keep: int, ids: tuple[int, ...]) -> int:
-    """Id of the box factor ``fid`` sends to ``keep`` under ``rule``, computed on a miss.
+def _factor_message(
+    reg: _Registry, rule: str, fid: int, keep: int, kids: tuple[int | Box, ...]
+) -> Box:
+    """The box factor ``fid`` sends to ``keep`` under ``rule``, computed on a miss.
 
-    ``ids`` holds the message sets of the other scope variables in ascending
+    ``kids`` holds the messages of the other scope variables in ascending
     variable order; the pair's plan reads them in scope order. The ``JOINT``
     rule encloses them in one joint box (a simplex becomes the registry's [0,1]
     box on its variable) and enumerates its corners; the ``FACTORIZED`` rule
@@ -220,21 +208,23 @@ def _factor_message(reg: _Registry, rule: str, fid: int, keep: int, ids: tuple[i
     rules send the factorized box, as the joint corner images are convex
     combinations of the factor's columns; the frontier table holds most.
     """
-    f, sets, n = reg.factors[fid], reg.sets, reg.num_variables
+    f = reg.factors[fid]
     plan = reg.plans.get((fid, keep))
     if plan is None:
         others = tuple(v for v in f.scope if v != keep)
         plan = reg.plans[fid, keep] = (others, tuple(map(sorted(others).index, others)))
     others, order = plan
-    simplices_only = max(ids, default=0) < n
+    kids_in_scope = [kids[p] for p in order]
+    simplices_only = all(type(m) is int for m in kids)
     box = reg.frontier.get((fid, keep)) if simplices_only else None
     if rule == JOINT and not simplices_only:
-        boxes = [reg.full[i] if i < n else sets[i] for i in map(ids.__getitem__, order)]
+        boxes = [reg.full[m] if type(m) is int else m for m in kids_in_scope]
         box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
     elif box is None:
-        box = bound_sum_product(f, keep, {v: sets[ids[p]] for v, p in zip(others, order)})
-    m = reg.factor_memo[(rule, fid, keep) + ids] = reg.intern(box)
-    return m
+        sets = [reg.simplex[m] if type(m) is int else m for m in kids_in_scope]
+        box = bound_sum_product(f, keep, dict(zip(others, sets)))
+    reg.factor_memo[(rule, fid, keep) + kids] = box
+    return box
 
 
 @dataclass(eq=False)
@@ -308,7 +298,7 @@ def _propagate(reg: _Registry, t: SawTree, rule: str) -> Box:
     """One leaf-to-root pass over a walk tree; factor nodes apply ``rule``.
 
     Walks are visited in reverse breadth-first order, so every child's message
-    id is known before its parent's. A cut-off walk sends the simplex on the
+    is known before its parent's. A cut-off walk sends the simplex on the
     variable it reaches: its endpoint, or its parent's when it ends at a factor.
     A variable with a simplex child sends its own simplex. Memo hits are read
     here; only a miss calls the message functions. The root's belief is the
@@ -319,25 +309,25 @@ def _propagate(reg: _Registry, t: SawTree, rule: str) -> Box:
     n = reg.num_variables
     end, prev, kind, first = t.end, t.prev, t.kind, t.first
     var_hit, factor_hit = reg.var_memo.get, reg.factor_memo.get
-    msg = [0] * len(end)
+    msg: list[int | Box] = [0] * len(end)
     for i in range(len(end) - 1, 0, -1):
         u = end[i]
         if kind[i] >= _CYCLE:
             msg[i] = u if u < n else prev[i]
             continue
-        ids = tuple(msg[first[i] : first[i + 1]])
+        kids = tuple(msg[first[i] : first[i + 1]])
         if u >= n:
-            m = factor_hit((rule, u - n, prev[i]) + ids)
-            msg[i] = _factor_message(reg, rule, u - n, prev[i], ids) if m is None else m
-        elif u in ids:
+            m = factor_hit((rule, u - n, prev[i]) + kids)
+            msg[i] = _factor_message(reg, rule, u - n, prev[i], kids) if m is None else m
+        elif u in kids:
             msg[i] = u
         else:
-            m = var_hit((u,) + ids)
-            msg[i] = _variable_message(reg, u, ids) if m is None else m
-    ids, root = tuple(msg[first[0] : first[1]]), t.root
-    if not ids or root in ids:
+            m = var_hit((u,) + kids)
+            msg[i] = _variable_message(reg, u, kids) if m is None else m
+    kids, root = msg[first[0] : first[1]], t.root
+    if not kids or root in kids:
         return full_box(root, reg.sizes[root])
-    return normalized_corner_box(box_product_same_scope([reg.sets[i] for i in ids]))
+    return normalized_corner_box(box_product_same_scope(kids))
 
 
 def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:

@@ -342,41 +342,44 @@ def reference_bound_sum_product_joint(factor: Factor, keep: int, joint: Box) -> 
     return reference_bounding_box_of_normalized(images, (keep,), (d_keep,))
 
 
-def reference_variable_message(reg, v, ids):
+def reference_variable_message(reg, v, kids):
     """Variable message glue as a plain lookup-then-compute, for the engine to match.
 
     Checks the simplex rule and the memo itself, and multiplies the children's
-    sets with the public kernel on a miss; no children send the unit box.
+    boxes with the public kernel on a miss; no children send the unit box.
     """
-    if v in ids:
+    if v in kids:
         return v
-    key = (v,) + ids
-    m = reg.var_memo.get(key)
-    if m is None:
-        if ids:
-            box = box_product_same_scope([reg.sets[i] for i in ids])
+    key = (v,) + kids
+    box = reg.var_memo.get(key)
+    if box is None:
+        if kids:
+            box = box_product_same_scope(list(kids))
         else:
             box = unit_box(v, reg.sizes[v])
-        m = reg.var_memo[key] = reg.intern(box)
-    return m
+        reg.var_memo[key] = box
+    return box
 
 
-def reference_factor_message(reg, rule, fid, keep, ids):
+def reference_factor_message(reg, rule, fid, keep, kids):
     """Factor message glue without plans or cached boxes, for the engine to match.
 
-    The other scope variables are sorted afresh to pair them with ``ids``, an
-    ``incoming`` dict maps each to its set, and under the joint rule each
-    simplex child becomes a fresh :func:`full_box` before the public kernels
-    run. When every child is a simplex both rules send the factorized kernel's
-    box: the joint rule's normalized corner images are convex combinations of
-    the normalized columns that box encloses.
+    The other scope variables are sorted afresh to pair them with ``kids``, an
+    ``incoming`` dict maps each to its set (a fresh :class:`Simplex` for an
+    int child), and under the joint rule each simplex child becomes a fresh
+    :func:`full_box` before the public kernels run. When every child is a
+    simplex both rules send the factorized kernel's box: the joint rule's
+    normalized corner images are convex combinations of the normalized
+    columns that box encloses.
     """
-    key = (rule, fid, keep) + ids
-    m = reg.factor_memo.get(key)
-    if m is None:
+    key = (rule, fid, keep) + kids
+    box = reg.factor_memo.get(key)
+    if box is None:
         f = reg.factors[fid]
         others = [v for v in sorted(f.scope) if v != keep]
-        incoming = {v: reg.sets[i] for v, i in zip(others, ids)}
+        incoming = {
+            v: Simplex(v, reg.sizes[v]) if isinstance(m, int) else m for v, m in zip(others, kids)
+        }
         if rule == JOINT and not all(isinstance(s, Simplex) for s in incoming.values()):
             boxes = [
                 full_box(v, reg.sizes[v]) if isinstance(incoming[v], Simplex) else incoming[v]
@@ -386,8 +389,8 @@ def reference_factor_message(reg, rule, fid, keep, ids):
             box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
         else:
             box = bound_sum_product(f, keep, incoming)
-        m = reg.factor_memo[key] = reg.intern(box)
-    return m
+        reg.factor_memo[key] = box
+    return box
 
 
 def reference_build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:

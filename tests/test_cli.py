@@ -88,6 +88,7 @@ def graph_never_generated(spec):
         ("--beta", "-1"),
         ("--beta", "nan"),
         ("--beta", "inf"),
+        ("--seed", "-1"),
     ],
 )
 def test_gen_grid_refuses_bad_options_before_generating(tmp_path, capsys, monkeypatch, option):

@@ -469,15 +469,9 @@ def fresh_copy(g):
     return graph_from([(f.scope, f.sizes, f.table) for f in g.factors])
 
 
-def assert_interning_is_one_to_one(reg):
-    """Every box id names one box, and its intern key is that box's bytes."""
-    n = reg.num_variables
-    assert sorted(reg.index.values()) == list(range(n, len(reg.sets)))
-    for (scope, lower, upper), i in reg.index.items():
-        box = reg.sets[i]
-        assert (box.scope, box.lower.values.tobytes(), box.upper.values.tobytes()) == (
-            scope, lower, upper,
-        )
+def is_simplex(m):
+    """Whether memo message ``m`` is the int standing for a variable's simplex."""
+    return type(m) is int
 
 
 def test_memo_warm_equals_cold():
@@ -485,7 +479,12 @@ def test_memo_warm_equals_cold():
     for _ in range(12):
         g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=3)
         warm = all_root_bytes(g)
-        assert_interning_is_one_to_one(propagation._REGISTRIES[g])
+        # A key names its children by the boxes the registry's memos sent.
+        reg = propagation._REGISTRIES[g]
+        sent = {id(box) for memo in (reg.var_memo, reg.factor_memo) for box in memo.values()}
+        kids = [key[1:] for key in reg.var_memo] + [key[3:] for key in reg.factor_memo]
+        assert all(is_simplex(m) or id(m) in sent for ms in kids for m in ms)
+        assert any(not is_simplex(m) for key in reg.factor_memo for m in key[3:])
         assert warm == all_root_bytes(fresh_copy(g), clear=True)
 
 
@@ -500,8 +499,7 @@ def test_memo_keys_on_the_factor_rule():
 
     def message(g, incoming, rule):
         reg = propagation._registry(g)
-        ids = tuple(reg.intern(incoming[v]) for v in (1, 2))
-        box = reg.sets[propagation._factor_message(reg, rule, 0, 0, ids)]
+        box = propagation._factor_message(reg, rule, 0, 0, (incoming[1], incoming[2]))
         return box.lower.values.tobytes() + box.upper.values.tobytes()
 
     # The two rules send different boxes from the three-variable factor, and a
@@ -538,16 +536,18 @@ def counting(monkeypatch, name):
 def test_memo_misses_are_the_distinct_messages(monkeypatch):
     # On this grid the 25 walk trees ask for 86,903 factor messages, of which
     # 3,369 are distinct; only those are computed. The frontier table serves
-    # the frontier messages (every child id a simplex: one per factor and
-    # kept variable on this grid), the kernel the rest.
+    # the frontier messages (every child a simplex: one per factor and kept
+    # variable on this grid), the kernel the rest. The walk trees' variables
+    # send 3,264 distinct messages.
     calls = counting(monkeypatch, "bound_sum_product_joint")
     g = gen_ising_grid(GridSpec(5, 5, 2, 1.0, 42))
     for r in range(g.num_variables):
         boxprop_sawtree(g, build_saw_tree(g, r, 5000))
-    memo = propagation._REGISTRIES[g].factor_memo
-    frontier = sum(all(i < g.num_variables for i in key[3:]) for key in memo)
+    reg = propagation._REGISTRIES[g]
+    frontier = sum(all(map(is_simplex, key[3:])) for key in reg.factor_memo)
     assert frontier == sum(len(f.scope) for f in g.factors) == 105
-    assert len(memo) == 3_369
+    assert len(reg.factor_memo) == 3_369
+    assert len(reg.var_memo) == 3_264
     assert calls[0] + frontier == 3_369
 
 
@@ -575,20 +575,30 @@ def test_memo_dies_with_the_graph_and_respects_the_cap(monkeypatch):
     bound = g.num_variables + g.num_factors
     gc.collect()
     before = len(propagation._REGISTRIES)
-    # A root that starts on a registry past the bound swaps in a fresh one.
-    out, swaps = [], 0
+    # A root that starts on a registry past the bound clears both memos in
+    # place: a marker entry put in each survives the root unless they were full.
+    out, clears = [], 0
+    marker = ("marker",)
     for method, budget in (("sawtree", 400), ("subtree", 60)):
         for r in range(g.num_variables):
             reg = propagation._REGISTRIES.get(g)
-            full = reg is not None and len(reg.var_memo) + len(reg.factor_memo) > bound
+            full = False
+            if reg is not None:
+                reg.var_memo[marker] = reg.factor_memo[marker] = None
+                full = len(reg.var_memo) + len(reg.factor_memo) > bound
             out.append(root_bytes(g, method, r, budget))
-            assert (propagation._REGISTRIES[g] is not reg) == (reg is None or full)
-            swaps += full
+            if reg is not None:
+                assert propagation._REGISTRIES[g] is reg
+                memos = (reg.var_memo, reg.factor_memo)
+                assert [marker in memo for memo in memos] == [not full] * 2
+                for memo in memos:
+                    memo.pop(marker, None)
+            clears += full
     assert out == uncapped
-    assert swaps > 0
+    assert clears > 0
     assert len(propagation._REGISTRIES) == before + 1
     ref = weakref.ref(propagation._registry(g))
-    del g
+    del g, reg
     gc.collect()
     assert ref() is None
     assert len(propagation._REGISTRIES) == before
@@ -616,16 +626,30 @@ def test_memo_shared_by_concurrent_roots(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected] * 4
-    assert_interning_is_one_to_one(propagation._REGISTRIES[g])
+    reg = propagation._REGISTRIES[g]
+    assert all(isinstance(box, Box) for memo in (reg.var_memo, reg.factor_memo)
+               for box in memo.values())
+
+
+def box_bytes(m):
+    """A box as its scope and bytes; any other key part as it is."""
+    if isinstance(m, Box):
+        return m.scope, m.lower.values.tobytes(), m.upper.values.tobytes()
+    return m
 
 
 def memo_bytes(reg):
-    """Every memo entry: its key and the scope and bytes of the box its id names."""
-    def entry(i):
-        box = reg.sets[i]
-        return box.scope, box.lower.values.tobytes(), box.upper.values.tobytes()
+    """Every memo entry with its key's boxes and its box as bytes.
 
-    return {key: entry(i) for memo in (reg.var_memo, reg.factor_memo) for key, i in memo.items()}
+    A set, not a count: the engine's frontier table gives both rules one box
+    object, so the variable memo holds one entry where the reference glue,
+    which computes a box per rule, holds two byte-equal ones.
+    """
+    return {
+        (tuple(map(box_bytes, key)), box_bytes(box))
+        for memo in (reg.var_memo, reg.factor_memo)
+        for key, box in memo.items()
+    }
 
 
 def root_outcomes(g):
@@ -646,8 +670,8 @@ def glue_outcomes(monkeypatch, g):
     """Root outcomes of the engine on ``g`` and of the reference glue on a copy.
 
     Both runs start on fresh registries, so equal outcomes and byte-equal memo
-    entries under equal keys (and so equal ids) show that the engine's message
-    glue computes what the reference glue computes, miss for miss.
+    entries under byte-equal keys show that the engine's message glue
+    computes what the reference glue computes, miss for miss.
     """
     engine = root_outcomes(g)
     copy = fresh_copy(g)
@@ -656,9 +680,11 @@ def glue_outcomes(monkeypatch, g):
         m.setattr(propagation, "_factor_message", reference_factor_message)
         reference = root_outcomes(copy)
     assert engine == reference
-    memo = memo_bytes(propagation._REGISTRIES[g])
-    assert memo == memo_bytes(propagation._REGISTRIES[copy])
-    assert {key[0] for key in memo} >= {JOINT, FACTORIZED}
+    reg, ref = propagation._REGISTRIES[g], propagation._REGISTRIES[copy]
+    memo = memo_bytes(reg)
+    assert memo == memo_bytes(ref)
+    assert len(reg.factor_memo) == len(ref.factor_memo)
+    assert {key[0] for key, _ in memo} >= {JOINT, FACTORIZED}
     return engine
 
 
@@ -754,10 +780,10 @@ def test_frontier_table_equals_the_per_message_kernels(monkeypatch):
                                 f, keep, {v: Simplex(v, dv) for v, dv in others})
                         except (CapacityExceededError, ZeroMeasureError) as e:
                             want = type(e)
-                    ids = tuple(sorted(v for v, _ in others))
+                    kids = tuple(sorted(v for v, _ in others))
                     for rule in (JOINT, FACTORIZED):
                         try:
-                            got = reg.sets[propagation._factor_message(reg, rule, f.id, keep, ids)]
+                            got = propagation._factor_message(reg, rule, f.id, keep, kids)
                         except (CapacityExceededError, ZeroMeasureError) as e:
                             assert want is type(e)
                         else:
@@ -816,7 +842,7 @@ def test_engine_calls_each_traced_kernel_once_per_miss(monkeypatch):
     # The benchmark's tracer wraps these five names in ``propagation`` and
     # unpacks their positional arguments, so the engine must call each through
     # that namespace, positionally, once per miss or non-vacuous root. A
-    # frontier miss (every child id a simplex) is served from the frontier
+    # frontier miss (every child a simplex) is served from the frontier
     # table and calls none of them; on these positive tables under the default
     # cap the table holds every frontier message.
     calls = Counter()
@@ -846,7 +872,7 @@ def test_engine_calls_each_traced_kernel_once_per_miss(monkeypatch):
                     vacuous_seen += vacuous
         reg = propagation._REGISTRIES[g]
         rules = Counter(
-            key[0] for key in reg.factor_memo if max(key[3:], default=0) >= g.num_variables
+            key[0] for key in reg.factor_memo if not all(map(is_simplex, key[3:]))
         )
         products = sum(len(key) > 1 for key in reg.var_memo)
         assert calls == Counter({
