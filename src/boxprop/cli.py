@@ -128,7 +128,7 @@ def _validated_graph(in_path):
 @cli.command("bound")
 @click.option("--method", type=click.Choice(METHODS), required=True)
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True)
-@click.option("--root", type=int, default=None, help="Single root variable; default all.")
+@click.option("--root", type=click.IntRange(min=0), default=None, help="Single root variable; default all.")
 @click.option("--max-nodes", type=NODE_BUDGET, default=DEFAULT_MAX_NODES, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def bound_cmd(method, in_path, root, max_nodes, out_path):
@@ -144,6 +144,7 @@ def bound_cmd(method, in_path, root, max_nodes, out_path):
         t0 = perf_counter()
         res = run_method(g, method, v, max_nodes)
         records.append(DetailRecord.of(res, (perf_counter() - t0) * 1e3))
+    _check_records(records)
     _emit(detail_lines(records), out_path)
     return 0
 

@@ -12,6 +12,7 @@ Graphs are immutable after construction and safe for concurrent shared reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite, prod
 from typing import Iterable, Sequence, TextIO
 
@@ -117,6 +118,31 @@ class FactorGraph:
         """Ids of factors incident to variable ``i``, in ascending order."""
         return self._var_factors[i]
 
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Each variable's component label and each component's size, cached.
+
+        One breadth-first pass labels components in order of their smallest
+        variable, so variable 0's label is 0; a size counts variables plus
+        factors. Racing threads compute equal values.
+        """
+        label, seen, size = [-1] * self.num_variables, bytearray(self.num_factors), []
+        for s in range(self.num_variables):
+            if label[s] >= 0:
+                continue
+            label[s], queue, nf = len(size), [s], 0
+            for u in queue:
+                for fid in self._var_factors[u]:
+                    if not seen[fid]:
+                        seen[fid] = 1
+                        nf += 1
+                        for w in self.factors[fid].scope:
+                            if label[w] < 0:
+                                label[w] = len(size)
+                                queue.append(w)
+            size.append(len(queue) + nf)
+        return tuple(label), tuple(size)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -146,19 +172,12 @@ def validate(g: FactorGraph) -> list[Violation]:
     """
     out: list[Violation] = []
 
-    # Every factor has a variable, so all variables reached means all factors.
-    seen_v = {0}
-    stack = [0]
-    while stack:
-        for fid in g.var_factors(stack.pop()):
-            new = set(g.factors[fid].scope) - seen_v
-            seen_v |= new
-            stack.extend(new)
-    if len(seen_v) != g.num_variables:
-        seen_f = sum(f.scope[0] in seen_v for f in g.factors)
+    label, size = g.components
+    if len(size) > 1:
+        reached = label.count(0)
         message = (
-            f"graph is disconnected: reached {len(seen_v)}/{g.num_variables} variables "
-            f"and {seen_f}/{g.num_factors} factors from variable 0"
+            f"graph is disconnected: reached {reached}/{g.num_variables} variables "
+            f"and {size[0] - reached}/{g.num_factors} factors from variable 0"
         )
         out.append(Violation("disconnected", None, None, None, message))
 

@@ -16,11 +16,12 @@ most ``MESSAGE_MEMO_CAP`` entries per graph node before the memos are
 cleared), so a memo hit is bit-identical to a recomputation. The
 only state kept here: per factor, its table as one C-contiguous summed-out
 matrix per scope variable (all built on the factor's first use, each by one
-reshape, transpose and copy; the cache dies with the factor); and read-only
-tables: a ``d x d`` identity per domain size (a simplex's extreme points)
-and a corner-selection bit table per number of free states (at most 20, one
-per count the cap allows; the table for ``f`` free states is ``2**f * f``
-bytes, at most 1/8 of the corner matrix built from it).
+reshape, transpose and copy; the cache dies with the factor); and a
+read-only corner-selection bit table per number of free states (at most 20,
+one per count the cap allows; the table for ``f`` free states is
+``2**f * f`` bytes, at most 1/8 of the corner matrix built from it). A
+simplex's extreme points, the rows of ``np.eye(d)``, are made per call: the
+frontier table of ``boxprop.propagation`` serves most simplex children.
 
 :func:`multiply` and :func:`marginalize_out` (the exact oracles' algebra)
 work on reshaped views of flat values: one IEEE product per entry, and one
@@ -345,14 +346,6 @@ def _summed_out_matrix(factor: Factor, keep: int) -> np.ndarray:
     return mats[keep]
 
 
-@cache
-def _identity(d: int) -> np.ndarray:
-    """Read-only ``d x d`` identity: a simplex's extreme points, one per row."""
-    eye = np.eye(d)
-    eye.flags.writeable = False
-    return eye
-
-
 def _check_single_var(ms: MessageSet, var: int) -> None:
     if isinstance(ms, Simplex):
         if ms.var != var:
@@ -382,7 +375,7 @@ def bound_sum_product(
             raise ValueError(f"missing incoming message set for variable {v}")
         ms = incoming[v]
         _check_single_var(ms, v)
-        mat = _identity(ms.domain_size) if isinstance(ms, Simplex) else box_corner_matrix(ms)
+        mat = np.eye(ms.domain_size) if isinstance(ms, Simplex) else box_corner_matrix(ms)
         n_combos *= mat.shape[0]
         if n_combos > ENUMERATION_CAP:
             raise CapacityExceededError(
@@ -390,9 +383,7 @@ def bound_sum_product(
             )
         point_mats.append(mat)
     d_keep = factor.sizes[factor.scope.index(keep)]
-    if not point_mats:
-        images = _summed_out_matrix(factor, keep)
-    elif len(point_mats) == 1:
+    if len(point_mats) == 1:
         images = _summed_out_matrix(factor, keep) @ point_mats[0].T
     else:
         kpos = factor.scope.index(keep)

@@ -38,11 +38,14 @@ five traced kernels. A key fixes its inputs' bytes and order and the kernels
 are deterministic, so every bound is bit-identical to an unmemoized run.
 
 The registry holding both memos, the table and the cached adjacency is held
-weakly by graph, made on the first root, and dies with the graph. A root that
-starts on a registry whose memos exceed ``MESSAGE_MEMO_CAP`` entries per
-bipartite node clears both memos in place; a root in flight keeps the boxes
-it holds. Distinct roots and methods can run concurrently: two roots that
-miss on one key store byte-equal boxes. A single pass is sequential.
+weakly by graph, made on the first root, and dies with the graph. Connected
+components are the graph's (``FactorGraph.components``), found in one pass
+that :func:`boxprop.factorgraph.validate` and the subtree builder share. A
+root that starts on a registry whose memos exceed ``MESSAGE_MEMO_CAP``
+entries per bipartite node clears both memos in place; a root in flight
+keeps the boxes it holds. Distinct roots and methods can run concurrently:
+two roots that miss on one key store byte-equal boxes. A single pass is
+sequential.
 """
 
 from __future__ import annotations
@@ -116,8 +119,8 @@ class _Registry:
     children following its other scope variables in ascending order. Bipartite
     node ``i`` is variable ``i``, or factor ``i - num_variables``; ``nbrs[i]``
     lists its neighbours in ascending id order; ``bit[i]`` is ``1 << i`` for
-    walk masks (``N**2 / 16`` bytes for ``N`` nodes). ``simplex[v]`` is the
-    simplex on ``v``; ``plans`` maps ``(fid, keep)`` to the other scope
+    walk masks (``N**2 / 16`` bytes for ``N`` nodes). ``full[v]`` is the
+    [0,1] box on ``v``; ``plans`` maps ``(fid, keep)`` to the other scope
     variables and their child positions, and ``frontier`` to the message both
     rules send when every child is a simplex.
     """
@@ -127,7 +130,6 @@ class _Registry:
         self.num_variables = n
         self.factors = g.factors
         self.sizes = g.sizes
-        self.simplex = [Simplex(v, d) for v, d in enumerate(self.sizes)]
         self.var_memo: dict[tuple, Box] = {}
         self.factor_memo: dict[tuple, Box] = {}
         self.plans: dict[tuple[int, int], tuple] = {}
@@ -138,27 +140,8 @@ class _Registry:
 
     @cached_property
     def full(self) -> list[Box]:
-        """The [0,1] box per variable; one domain size shares arrays, which no kernel writes."""
-        arrays = {d: (np.zeros(d), np.ones(d)) for d in set(self.sizes)}
-        return [
-            Box._new(*(Measure._new((v,), (d,), a) for a in arrays[d]))
-            for v, d in enumerate(self.sizes)
-        ]
-
-    @cached_property
-    def component_size(self) -> list[int]:
-        """The number of bipartite nodes in each node's connected component."""
-        label, sizes = [-1] * len(self.nbrs), []
-        for s in range(len(self.nbrs)):
-            if label[s] < 0:
-                label[s], comp = len(sizes), [s]
-                for u in comp:
-                    for w in self.nbrs[u]:
-                        if label[w] < 0:
-                            label[w] = len(sizes)
-                            comp.append(w)
-                sizes.append(len(comp))
-        return [sizes[c] for c in label]
+        """The [0,1] box per variable, for the joint rule's simplex children."""
+        return [full_box(v, d) for v, d in enumerate(self.sizes)]
 
     @cached_property
     def frontier(self) -> dict[tuple[int, int], Box]:
@@ -221,7 +204,7 @@ def _factor_message(
         boxes = [reg.full[m] if type(m) is int else m for m in kids_in_scope]
         box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
     elif box is None:
-        sets = [reg.simplex[m] if type(m) is int else m for m in kids_in_scope]
+        sets = [Simplex(m, reg.sizes[m]) if type(m) is int else m for m in kids_in_scope]
         box = bound_sum_product(f, keep, dict(zip(others, sets)))
     reg.factor_memo[(rule, fid, keep) + kids] = box
     return box
@@ -385,9 +368,10 @@ def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     below them are *dead*: they join in queue order but get no walks, as no
     message of theirs can reach the root. The build stops once no live node
     is left to expand. ``node_count`` is what a full pass would join: the
-    budget or the root's component, whichever is smaller. On pairwise factor
-    graphs the joint rule of :func:`boxprop_sawtree` gives the same box over
-    this tree as the factorized rule of :func:`boxprop_subtree`.
+    budget or the size of the root's component (``g.components``), whichever
+    is smaller. On pairwise factor graphs the joint rule of
+    :func:`boxprop_sawtree` gives the same box over this tree as the
+    factorized rule of :func:`boxprop_subtree`.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
@@ -438,7 +422,8 @@ def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
             kind[i] = _DEAD_END
     while len(first) <= len(end):
         first.append(len(end))
-    count = min(max_nodes, reg.component_size[root])  # what a full pass joins
+    label, size = g.components
+    count = min(max_nodes, size[label[root]])  # what a full pass joins
     return SawTree(root, count, g.num_variables, end, prev, kind, first)
 
 

@@ -104,6 +104,19 @@ def random_connected_graph(rng, max_vars=10, max_domain=4, max_arity=3, max_extr
     return graph_from(tables)
 
 
+def grid_and_triangle_tables(rng):
+    """Two components as (scope, sizes, values) lists: a binary 3x3 grid
+    (variables 0-8, 12 couplings, unary factors on 0 and 4) and a ternary
+    triangle (variables 9-11, three couplings and one 3-ary factor)."""
+    coupling = lambda d, e: rng.uniform(0.1, 2.0, d * e)
+    grid = [((r * 3 + c, r * 3 + c + 1), (2, 2), coupling(2, 2)) for r in range(3) for c in range(2)]
+    grid += [((k, k + 3), (2, 2), coupling(2, 2)) for k in range(6)]
+    grid += [((0,), (2,), coupling(2, 1)), ((4,), (2,), coupling(2, 1))]
+    triangle = [((9, 10), (3, 3), coupling(3, 3)), ((10, 11), (3, 3), coupling(3, 3)),
+                ((9, 11), (3, 3), coupling(3, 3)), ((9, 10, 11), (3, 3, 3), coupling(9, 3))]
+    return grid, triangle
+
+
 def random_pairwise_graph(rng, max_vars=8, max_domain=3, max_extra=4):
     """Connected random graph with pairwise factors only (loops allowed)."""
     n = int(rng.integers(3, max_vars + 1))

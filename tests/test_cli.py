@@ -9,6 +9,7 @@ from boxprop import cli as cli_module
 from boxprop import propagation
 from boxprop.cli import main
 from boxprop.factorgraph import parse_fg, write_fg
+from boxprop.measure import Box, Measure
 from helpers import OVERLONG_FG, WIDE_FACTOR_FG, graph_from, random_tree_graph, triangle_graph
 
 
@@ -137,6 +138,29 @@ def test_bound_time_covers_tree_build(triangle_file, capsys, monkeypatch):
     assert json.loads(out)["time_ms"] >= 50.0
 
 
+def test_bound_refuses_a_box_that_breaks_the_invariants(triangle_file, tmp_path, capsys, monkeypatch):
+    # bound checks its records as compare does, and writes no file on failure.
+    def broken(g, method, root, max_nodes):
+        half = Measure((root,), (2,), (0.6, 0.6))
+        return propagation.BoundResult(root, Box(half, half), method, 1, 0.0)
+
+    monkeypatch.setattr(cli_module, "run_method", broken)
+    out = tmp_path / "b.jsonl"
+    code, _, err = run(
+        capsys, "bound", "--method", "subtree", "--in", triangle_file, "--root", "0",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert "violates box invariants" in err
+    assert not out.exists()
+
+
+def test_bound_root_past_the_last_variable_is_exit_2(triangle_file, capsys):
+    code, out, err = run(capsys, "bound", "--method", "subtree", "--in", triangle_file, "--root", "3")
+    assert code == 2 and out == ""
+    assert "root 3 is not a variable of the graph" in err
+
+
 def test_validate_reports_violations(tmp_path, capsys):
     g = graph_from(
         [
@@ -257,6 +281,13 @@ def test_max_nodes_below_one_is_a_usage_error(triangle_file, capsys, monkeypatch
     code, out, err = run(capsys, *command, "--in", triangle_file, "--max-nodes", "0")
     assert code == 1 and out == ""
     assert "--max-nodes" in err
+
+
+def test_negative_root_is_a_usage_error(triangle_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli_module, "_load_graph", graph_never_read)
+    code, out, err = run(capsys, "bound", "--method", "subtree", "--in", triangle_file, "--root", "-1")
+    assert code == 1 and out == ""
+    assert "--root" in err
 
 
 @pytest.mark.parametrize("methods", ["subtree,bogus", ",", "subtree,subtree"])

@@ -9,7 +9,13 @@ from boxprop.factorgraph import (
     validate,
     write_fg,
 )
-from helpers import OVERLONG_FG, graph_from, random_connected_graph, triangle_graph
+from helpers import (
+    OVERLONG_FG,
+    graph_from,
+    grid_and_triangle_tables,
+    random_connected_graph,
+    triangle_graph,
+)
 
 TRIANGLE_FG = """# three binary variables, three pairwise couplings
 3
@@ -154,9 +160,67 @@ def test_validate_reports_non_finite_entry(value):
 
 
 def test_validate_disconnected():
-    g = graph_from([((0,), (2,), (1.0, 1.0)), ((1,), (2,), (1.0, 1.0))])
-    kinds = {v.kind for v in validate(g)}
-    assert "disconnected" in kinds
+    grid, triangle = grid_and_triangle_tables(np.random.default_rng(1301))
+    # Variable 0's component is {0, 2, 5}, joined by one 3-ary factor, and
+    # interleaves with {1, 3} and {4, 6}.
+    three = [
+        ((0, 2, 5), (2, 2, 2), np.arange(1.0, 9.0)),
+        ((1, 3), (2, 2), (1.0, 2.0, 2.0, 1.0)),
+        ((4, 6), (2, 3), np.arange(1.0, 7.0)),
+        ((5,), (2,), (1.0, 3.0)),
+        ((6,), (3,), (1.0, 1.0, 2.0)),
+    ]
+    cases = [
+        ([((0,), (2,), (1.0, 1.0)), ((1,), (2,), (1.0, 1.0))], "1/2 variables and 1/2 factors"),
+        (grid + triangle, "9/12 variables and 14/18 factors"),
+        (three, "3/7 variables and 2/5 factors"),
+    ]
+    for tables, reached in cases:
+        violations = validate(graph_from(tables))
+        assert [(v.kind, v.message) for v in violations] == [
+            ("disconnected", f"graph is disconnected: reached {reached} from variable 0")
+        ]
+
+
+def _bfs_components(g):
+    """Labels and sizes from a plain breadth-first search of the bipartite graph."""
+    n = g.num_variables
+    nbrs = [[n + fid for fid in g.var_factors(v)] for v in range(n)]
+    nbrs += [list(f.scope) for f in g.factors]
+    label, size = {}, []
+    for s in range(n):
+        if s in label:
+            continue
+        label[s], queue = len(size), [s]
+        for u in queue:
+            for w in nbrs[u]:
+                if w not in label:
+                    label[w] = len(size)
+                    queue.append(w)
+        size.append(len(queue))
+    return tuple(label[v] for v in range(n)), tuple(size)
+
+
+def test_components_match_a_plain_search():
+    rng = np.random.default_rng(1701)
+    seen = set()
+    for _ in range(40):
+        tables, offset = [], 0
+        for _ in range(int(rng.integers(1, 4))):
+            part = random_connected_graph(rng, max_vars=6)
+            tables += [
+                (tuple(v + offset for v in f.scope), f.sizes, f.table) for f in part.factors
+            ]
+            offset += part.num_variables
+        # Renumber the variables so that components interleave.
+        perm = rng.permutation(offset)
+        g = graph_from([(tuple(int(perm[v]) for v in s), d, t) for s, d, t in tables])
+        label, size = g.components
+        assert (label, size) == _bfs_components(g)
+        assert label[0] == 0
+        assert sum(size) == g.num_variables + g.num_factors
+        seen.add(len(size))
+    assert seen == {1, 2, 3}
 
 
 def test_bipartite_consistency():

@@ -29,6 +29,7 @@ from helpers import (
     WIDE_FACTOR_FG,
     box_contains,
     graph_from,
+    grid_and_triangle_tables,
     random_connected_graph,
     random_pairwise_graph,
     random_tree_graph,
@@ -313,13 +314,7 @@ def test_early_stopping_subtree_builder_on_two_components():
     # The builder stops once no live node is queued, so it never joins the
     # dead nodes a full pass joins after the last live one; ``node_count``
     # must still be the full pass's, capped by the root's component.
-    rng = np.random.default_rng(1301)
-    coupling = lambda d, e: rng.uniform(0.1, 2.0, d * e)
-    grid = [((r * 3 + c, r * 3 + c + 1), (2, 2), coupling(2, 2)) for r in range(3) for c in range(2)]
-    grid += [((k, k + 3), (2, 2), coupling(2, 2)) for k in range(6)]
-    grid += [((0,), (2,), coupling(2, 1)), ((4,), (2,), coupling(2, 1))]
-    triangle = [((9, 10), (3, 3), coupling(3, 3)), ((10, 11), (3, 3), coupling(3, 3)),
-                ((9, 11), (3, 3), coupling(3, 3)), ((9, 10, 11), (3, 3, 3), coupling(9, 3))]
+    grid, triangle = grid_and_triangle_tables(np.random.default_rng(1301))
     g = graph_from(grid + triangle)
     # Each component's variables and its number of bipartite nodes.
     components = ((range(9), 9 + len(grid)), (range(9, 12), 3 + len(triangle)))
