@@ -39,13 +39,7 @@ def run_family(name, maker, domain, args, out_dir):
         g = maker(spec)
         tag = f"{name}_{args.rows}x{args.cols}_beta{beta:g}_seed{args.seed}"
         (out_dir / f"{tag}.fg").write_text(write_fg(g))
-        result = compare(
-            g,
-            ["subtree", "sawtree"],
-            {"subtree": args.max_nodes, "sawtree": args.max_nodes},
-            run_bp=args.bp,
-            exact_engine="varelim",
-        )
+        result = compare(g, {"subtree": args.max_nodes, "sawtree": args.max_nodes}, run_bp=args.bp)
         (out_dir / f"{tag}_summary.csv").write_text(summary_csv(result.gap_records))
         (out_dir / f"{tag}_details.jsonl").write_text(detail_lines(result.detail_records))
         (out_dir / f"{tag}_profiles.csv").write_text(

@@ -198,26 +198,21 @@ def run_method(g: FactorGraph, method: str, root: int, max_nodes: int) -> BoundR
 
 
 def compare(
-    g: FactorGraph,
-    methods: list[str],
-    budgets: dict[str, int],
-    *,
-    run_bp: bool = False,
-    exact_engine: str | None = "varelim",
+    g: FactorGraph, budgets: dict[str, int], *, run_bp: bool = False, exact: bool = True
 ) -> CompareResult:
-    """Run every method for every variable and collect gap/detail records.
+    """Run each method of ``budgets`` at its budget for every variable.
 
-    Per-variable failures (capacity or zero-measure) become notes on detail
-    records instead of aborting the run. When the exact oracle is feasible the
-    result carries exact marginals, and if BP is requested its per-variable
-    error ``max_x |belief - exact|`` is reported as extra gap records under the
-    method label ``bp``. When the oracle exceeds its cap, ``exact`` is ``None``,
-    ``exact_error`` holds the cap error's message and no ``bp`` rows are made.
-    Records are merged deterministically by (method, variable).
+    Methods run in ``budgets``' order. Per-variable failures (capacity or
+    zero-measure) become notes on detail records instead of aborting the run.
+    With ``exact``, variable elimination gives the result's exact marginals,
+    and if BP is requested its per-variable error ``max_x |belief - exact|``
+    is reported as extra gap records under the method label ``bp``. When
+    elimination exceeds its cap, the result's ``exact`` is ``None``, its
+    ``exact_error`` holds the cap error's message and no ``bp`` rows are
+    made. Records are merged deterministically by (method, variable).
     """
     out = CompareResult()
-    for method in methods:
-        budget = budgets[method]
+    for method, budget in budgets.items():
         for v in range(g.num_variables):
             t0 = perf_counter()
             try:
@@ -231,9 +226,9 @@ def compare(
             ms = (perf_counter() - t0) * 1e3
             out.detail_records.append(DetailRecord.of(res, ms))
             out.gap_records.append(GapRecord(v, method, gap(res.box), ms))
-    if exact_engine is not None:
+    if exact:
         try:
-            out.exact = exact_marginals(g, engine=exact_engine)
+            out.exact = exact_marginals(g, engine="varelim")
         except CapacityExceededError as exc:
             out.exact = None
             out.exact_error = str(exc)

@@ -32,13 +32,10 @@ from .bench import (
 )
 from .errors import CapacityExceededError, FgFormatError, ZeroMeasureError
 from .factorgraph import parse_fg, validate, write_fg
-from .propagation import bp_marginals, exact_marginals
+from .propagation import BP_DAMPING, BP_MAX_ITER, BP_TOL, bp_marginals, exact_marginals
 
 DEFAULT_MAX_NODES = 5000
 NODE_BUDGET = click.IntRange(min=1)
-DEFAULT_BP_TOL = 1e-9
-DEFAULT_BP_MAX_ITER = 10_000
-DEFAULT_BP_DAMPING = 0.0
 
 
 def _banner(command: str, **params) -> None:
@@ -157,9 +154,9 @@ def _damping(ctx, param, value: float) -> float:
 
 @cli.command("bp")
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True)
-@click.option("--tol", type=float, default=DEFAULT_BP_TOL, show_default=True, callback=_positive_finite)
-@click.option("--max-iter", type=click.IntRange(min=1), default=DEFAULT_BP_MAX_ITER, show_default=True)
-@click.option("--damping", type=float, default=DEFAULT_BP_DAMPING, show_default=True, callback=_damping)
+@click.option("--tol", type=float, default=BP_TOL, show_default=True, callback=_positive_finite)
+@click.option("--max-iter", type=click.IntRange(min=1), default=BP_MAX_ITER, show_default=True)
+@click.option("--damping", type=float, default=BP_DAMPING, show_default=True, callback=_damping)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def bp_cmd(in_path, tol, max_iter, damping, out_path):
     """Loopy belief propagation beliefs as JSON lines."""
@@ -219,10 +216,7 @@ def compare_cmd(in_path, methods, max_nodes, run_bp, summary_out, details_out, p
     )
     g = _validated_graph(in_path)
     # Only the BP error rows read the exact marginals.
-    result = compare(
-        g, methods, {m: max_nodes for m in methods}, run_bp=run_bp,
-        exact_engine="varelim" if run_bp else None,
-    )
+    result = compare(g, dict.fromkeys(methods, max_nodes), run_bp=run_bp, exact=run_bp)
     _check_records(result.detail_records)
     if result.exact_error:
         # The run still succeeds; only the rows that need exact marginals are missing.

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite, prod
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,12 @@ __all__ = [
     "parse_fg",
     "write_fg",
     "validate",
+    "TABLE_CAP",
 ]
+
+# The most entries one table may hold: a factor's, checked by ``parse_fg``
+# before the table is allocated, and the brute-force oracle's joint one.
+TABLE_CAP = 1 << 26
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,18 +236,21 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         raise FgFormatError(lineno, f"expected integer {what}, got {token!r}") from None
 
 
-def parse_fg(source: str | TextIO) -> FactorGraph:
-    """Parse the ``.fg`` text format into a validated-structure FactorGraph.
+def parse_fg(text: str) -> FactorGraph:
+    """Parse ``.fg`` text into a validated-structure FactorGraph.
 
     Grammar (line oriented; ``#`` starts a comment line, blank lines separate
     blocks): first line holds the number of factor blocks; each block holds the
     scope size ``k``, then ``k`` variable ids, then ``k`` aligned domain sizes,
     then the number ``m`` of listed entries, then ``m`` lines ``index value``.
-    Unlisted indices default to 0; content past the last block is an error.
+    Unlisted indices default to 0; content past the last block is an error. A
+    block whose sizes multiply to more than ``TABLE_CAP`` entries is refused
+    at its sizes line, before its table is allocated. Every error is an
+    :class:`FgFormatError` naming a line; input with no content line names
+    line 1.
     """
-    text = source if isinstance(source, str) else source.read()
     lines = iter(_content_lines(text))
-    last_line = 0
+    last_line = 1
 
     def next_line(what: str) -> tuple[int, str]:
         nonlocal last_line
@@ -283,6 +291,8 @@ def parse_fg(source: str | TextIO) -> FactorGraph:
         sizes = tuple(_parse_int(t, lineno, "domain size") for t in tokens)
         if any(d < 2 for d in sizes):
             raise FgFormatError(lineno, f"domain sizes must be >= 2, got {sizes}")
+        if prod(sizes) > TABLE_CAP:
+            raise FgFormatError(lineno, f"{prod(sizes)} table entries, above the cap {TABLE_CAP}")
         for v, d in zip(scope, sizes):
             prev = sizes_seen.setdefault(v, (d, lineno))
             if prev[0] != d:

@@ -15,7 +15,8 @@ per tree edge. BP holds its messages in one ``(edges, d)`` array per domain
 size and direction, contracts all edges of one table shape and position
 together (one stacked matrix product per contraction and sweep), and returns
 the same bytes as a plain per-edge loop would. See :func:`exact_marginals`
-and :func:`bp_marginals`.
+and :func:`bp_marginals`, whose defaults are ``BP_TOL``, ``BP_MAX_ITER`` and
+``BP_DAMPING``, the defaults of ``boxprop bp`` too.
 
 Both methods are one engine, a method being a pair of a walk-tree builder and
 a factor rule. A :class:`SawTree` is flat: int lists of endpoints, parent
@@ -23,8 +24,9 @@ endpoints, kind codes and child-range starts in breadth-first order, so one
 reverse loop over them sends every message. Each method has one builder: the
 walk-tree method propagates :func:`build_saw_tree`'s tree with the joint rule,
 the subtree method :func:`build_subtree`'s with the factorized rule. The
-linked :class:`SawNode` view (``SawTree.root_node``) is built only on first
-access, for inspection; the engine never reads it.
+linked :class:`SawNode` view (``SawTree.root_node``) holds only each walk's
+kind and children, is built on first access, and is read by the benchmark
+tracer's walk counts, never by the engine.
 
 A message is the int ``v``, standing for the simplex on variable ``v``, or a
 :class:`Box`. A variable memo keyed on the variable and its children's
@@ -61,7 +63,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .errors import CapacityExceededError, ZeroMeasureError
-from .factorgraph import FactorGraph
+from .factorgraph import TABLE_CAP, FactorGraph
 from .measure import (
     Box,
     Measure,
@@ -80,8 +82,6 @@ from .measure import (
 )
 
 __all__ = [
-    "VAR",
-    "FAC",
     "SawNode",
     "SawTree",
     "BoundResult",
@@ -92,18 +92,18 @@ __all__ = [
     "boxprop_sawtree",
     "bp_marginals",
     "exact_marginals",
-    "BRUTE_CAP",
     "VARELIM_BUCKET_CAP",
     "MESSAGE_MEMO_CAP",
+    "BP_TOL",
+    "BP_MAX_ITER",
+    "BP_DAMPING",
 ]
 
-VAR = "v"
-FAC = "f"
-Node = tuple[str, int]
-
-BRUTE_CAP = 1 << 26
 VARELIM_BUCKET_CAP = 1 << 20
 MESSAGE_MEMO_CAP = 1024
+BP_TOL = 1e-9
+BP_MAX_ITER = 10_000
+BP_DAMPING = 0.0
 
 JOINT = "joint"
 FACTORIZED = "factorized"
@@ -228,16 +228,15 @@ _ROOT, _INNER, _DEAD_END, _CYCLE, _TRUNCATED = range(len(_KINDS))
 
 @dataclass(eq=False, slots=True)
 class SawNode:
-    """One walk in the self-avoiding-walk tree, identified by its endpoint.
+    """One walk of a :class:`SawTree`'s node view: its kind and its child walks.
 
     Kinds: ``root``, ``inner``, ``dead_end`` (no admissible extension),
     ``cycle`` (endpoint revisits the walk; sends a simplex), and ``truncated``
     (marker for an extension cut off by the node budget; sends a simplex).
+    The walk's endpoint is in the tree's flat lists.
     """
 
-    endpoint: Node
     kind: str
-    parent: "SawNode | None"
     children: list["SawNode"] = field(default_factory=list)
 
 
@@ -246,17 +245,17 @@ class SawTree:
     """Tree of self-avoiding walks from a root variable, flat in breadth-first order.
 
     Walk ``i`` ends at bipartite node ``end[i]`` (variable ``v`` is ``v``,
-    factor ``fid`` is ``num_variables + fid``); ``prev[i]`` is the endpoint of
-    its parent walk (-1 for the root, walk 0); ``kind[i]`` indexes ``("root",
-    "inner", "dead_end", "cycle", "truncated")``; and its children are the
-    walks ``first[i]:first[i + 1]``, in ascending endpoint order. ``node_count``
-    counts the nodes the builder spent its budget on: the walks that are not
-    ``truncated`` markers, plus, in a subtree, the dead nodes a full pass joins.
+    factor ``fid`` is the graph's ``num_variables + fid``); ``prev[i]`` is the
+    endpoint of its parent walk (-1 for the root, walk 0); ``kind[i]`` indexes
+    ``("root", "inner", "dead_end", "cycle", "truncated")``; and its children
+    are the walks ``first[i]:first[i + 1]``, in ascending endpoint order.
+    ``node_count`` counts the nodes the builder spent its budget on: the walks
+    that are not ``truncated`` markers, plus, in a subtree, the dead nodes a
+    full pass joins. These lists are the tree; ``root_node`` is a view of them.
     """
 
     root: int
     node_count: int
-    num_variables: int
     end: list[int]
     prev: list[int]
     kind: list[int]
@@ -264,16 +263,11 @@ class SawTree:
 
     @cached_property
     def root_node(self) -> SawNode:
-        """The tree as linked :class:`SawNode` objects, built on first access."""
-        n, first = self.num_variables, self.first
-        nodes = [
-            SawNode((VAR, u) if u < n else (FAC, u - n), _KINDS[k], None)
-            for u, k in zip(self.end, self.kind)
-        ]
+        """The walk kinds as linked :class:`SawNode` objects, built on first access."""
+        first = self.first
+        nodes = [SawNode(_KINDS[k]) for k in self.kind]
         for i, node in enumerate(nodes):
             node.children = nodes[first[i] : first[i + 1]]
-            for child in node.children:
-                child.parent = node
         return nodes[0]
 
 
@@ -353,7 +347,7 @@ def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
         if i and len(end) == start:
             kind[i] = _DEAD_END
     first.append(len(end))
-    return SawTree(root, count, g.num_variables, end, prev, kind, first)
+    return SawTree(root, count, end, prev, kind, first)
 
 
 def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
@@ -424,7 +418,7 @@ def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
         first.append(len(end))
     label, size = g.components
     count = min(max_nodes, size[label[root]])  # what a full pass joins
-    return SawTree(root, count, g.num_variables, end, prev, kind, first)
+    return SawTree(root, count, end, prev, kind, first)
 
 
 def boxprop_subtree(g: FactorGraph, t: SawTree) -> BoundResult:
@@ -462,9 +456,9 @@ class BpResult:
 @np.errstate(invalid="raise")
 def bp_marginals(
     g: FactorGraph,
-    tol: float = 1e-9,
-    max_iter: int = 10_000,
-    damping: float = 0.0,
+    tol: float = BP_TOL,
+    max_iter: int = BP_MAX_ITER,
+    damping: float = BP_DAMPING,
 ) -> BpResult:
     """Loopy belief propagation with synchronous (parallel) updates.
 
@@ -615,7 +609,7 @@ def _normalized(p: np.ndarray, owner: list[int]) -> np.ndarray:
 def exact_marginals(g: FactorGraph, engine: str = "brute") -> list[Measure]:
     """Exact normalized single-variable marginals.
 
-    ``brute`` materializes the joint table (capped at ``BRUTE_CAP`` states);
+    ``brute`` materializes the joint table (capped at ``TABLE_CAP`` states);
     ``varelim`` runs bucket-tree elimination (Kask, Dechter, Larrosa and
     Dechter 2005) along a greedy min-weight order, with every clique capped at
     ``VARELIM_BUCKET_CAP`` entries. Both raise :class:`CapacityExceededError`
@@ -644,9 +638,9 @@ def exact_marginals(g: FactorGraph, engine: str = "brute") -> list[Measure]:
 
 def _brute_marginals(g: FactorGraph) -> list[Measure]:
     total = prod(g.sizes)
-    if total > BRUTE_CAP:
+    if total > TABLE_CAP:
         raise CapacityExceededError(
-            f"joint distribution has {total} states, above the cap of {BRUTE_CAP}"
+            f"joint distribution has {total} states, above the cap of {TABLE_CAP}"
         )
     joint = Measure((), (), np.ones(1))
     for f in g.factors:

@@ -49,6 +49,11 @@ SYM_TABLE = (1.0, 2.0, 2.0, 1.0)
 # Declares one factor block but holds two; the second starts on line 10.
 OVERLONG_FG = "1\n\n1\n0\n2\n2\n0 1\n1 1\n\n1\n1\n2\n2\n0 1\n1 1\n"
 
+# A block whose sizes (line 5) multiply to 2**48 table entries, which no
+# machine could allocate: the reader must refuse it before allocating.
+HUGE_BLOCK_FG = "1\n\n3\n0 1 2\n65536 65536 65536\n0\n"
+HUGE_BLOCK_ERROR = "line 5: 281474976710656 table entries, above the cap 67108864"
+
 # A ternary 4-ary factor on (0, 1, 2, 3) and a pairwise factor (0, 4). At a
 # budget of 3 every child of the root's factors is cut off, so both send
 # frontier messages, the 4-ary one over 27 other states (the joint rule's
@@ -447,16 +452,18 @@ def reference_build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTre
         if i and len(end) == start:
             kind[i] = _DEAD_END
     first.append(len(end))
-    return SawTree(root, count, g.num_variables, end, prev, kind, first)
+    return SawTree(root, count, end, prev, kind, first)
 
 
-def without_dead_walks(t: SawTree) -> SawTree:
+def without_dead_walks(t: SawTree, n: int) -> SawTree:
     """``t`` without the walks below a variable that has a ``truncated`` child.
 
-    Such a variable sends its simplex whatever its other children send, so
-    nothing below them reaches the root. The markers stay; ``node_count`` too.
+    ``n`` is the graph's number of variables: endpoints below it are
+    variables. Such a variable sends its simplex whatever its other children
+    send, so nothing below them reaches the root. The markers stay;
+    ``node_count`` too.
     """
-    n, end, kind, first = t.num_variables, t.end, t.kind, t.first
+    end, kind, first = t.end, t.kind, t.first
     kept, starts = [0], [1]
     for i in kept:  # breadth-first, so ``kept`` stays in list order
         kids = range(first[i], first[i + 1])
@@ -467,7 +474,6 @@ def without_dead_walks(t: SawTree) -> SawTree:
     return SawTree(
         t.root,
         t.node_count,
-        n,
         [end[i] for i in kept],
         [t.prev[i] for i in kept],
         [kind[i] for i in kept],

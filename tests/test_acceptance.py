@@ -182,11 +182,7 @@ def test_criterion_07_binary_grids():
         medians = {}
         for beta in BETAS:
             g = gen_ising_grid(GridSpec(5, 5, 2, beta, seed=42))
-            result = compare(
-                g, ["subtree", "sawtree"],
-                {"subtree": 5000, "sawtree": 5000},
-                exact_engine="varelim",
-            )
+            result = compare(g, {"subtree": 5000, "sawtree": 5000})
             assert result.exact is not None
             assert not any(r.note for r in result.detail_records)
             for rec in result.detail_records:
@@ -208,11 +204,7 @@ def test_criterion_08_ternary_grids():
         t0 = time.perf_counter()
         for beta in BETAS:
             g = gen_ternary_grid(GridSpec(5, 5, 3, beta, seed=42))
-            result = compare(
-                g, ["subtree", "sawtree"],
-                {"subtree": 5000, "sawtree": 5000},
-                exact_engine="varelim",
-            )
+            result = compare(g, {"subtree": 5000, "sawtree": 5000})
             assert result.exact is not None
             assert not any(r.note for r in result.detail_records)
             for rec in result.detail_records:

@@ -137,8 +137,7 @@ def test_gap_invariant_under_state_relabeling():
 
 def test_compare_triangle():
     g = triangle_graph()
-    result = compare(g, ["subtree", "sawtree"], {"subtree": 100, "sawtree": 10_000},
-                     run_bp=True, exact_engine="brute")
+    result = compare(g, {"subtree": 100, "sawtree": 10_000}, run_bp=True)
     sub = {r.variable: r for r in result.gap_records if r.method == "subtree"}
     assert sub[0].gap == pytest.approx(3 / 7, abs=1e-12)
     assert result.exact is not None
@@ -152,13 +151,13 @@ def test_compare_triangle():
 
 
 def test_compare_empty_methods():
-    result = compare(triangle_graph(), [], {}, exact_engine=None)
+    result = compare(triangle_graph(), {}, exact=False)
     assert result.gap_records == [] and result.detail_records == []
 
 
 def test_compare_records_sorted_and_invariant():
     g = gen_ising_grid(GridSpec(3, 3, 2, 1.0, 11))
-    result = compare(g, ["sawtree", "subtree"], {"sawtree": 500, "subtree": 500})
+    result = compare(g, {"sawtree": 500, "subtree": 500})
     keys = [(r.method, r.variable) for r in result.gap_records]
     assert keys == sorted(keys)
     for rec in result.detail_records:
@@ -179,7 +178,7 @@ def test_compare_failure_becomes_note():
             ((0,), (2,), rng.uniform(0.1, 2.0, 2)),
         ]
     )
-    result = compare(big, ["subtree"], {"subtree": 4}, exact_engine=None)
+    result = compare(big, {"subtree": 4}, exact=False)
     notes = {r.variable: r.note for r in result.detail_records}
     assert notes[1] == "CapacityExceededError"
     assert notes[0] == ""
@@ -193,14 +192,14 @@ def test_compare_determinism_of_summary():
         rows = summary_csv(res.gap_records).splitlines()
         return [",".join(r.split(",")[:3]) for r in rows]
 
-    a = compare(g, ["subtree", "sawtree"], budgets)
-    b = compare(g, ["subtree", "sawtree"], budgets)
+    a = compare(g, budgets)
+    b = compare(g, budgets)
     assert stripped(a) == stripped(b)
 
 
 def test_median_sawtree_beats_subtree_on_grid():
     g = gen_ising_grid(GridSpec(5, 5, 2, 1.0, 42))
-    result = compare(g, ["subtree", "sawtree"], {"subtree": 5000, "sawtree": 2000})
+    result = compare(g, {"subtree": 5000, "sawtree": 2000})
     assert median_gap(result.gap_records, "sawtree") <= median_gap(result.gap_records, "subtree")
 
 

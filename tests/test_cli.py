@@ -10,7 +10,15 @@ from boxprop import propagation
 from boxprop.cli import main
 from boxprop.factorgraph import parse_fg, write_fg
 from boxprop.measure import Box, Measure
-from helpers import OVERLONG_FG, WIDE_FACTOR_FG, graph_from, random_tree_graph, triangle_graph
+from helpers import (
+    HUGE_BLOCK_ERROR,
+    HUGE_BLOCK_FG,
+    OVERLONG_FG,
+    WIDE_FACTOR_FG,
+    graph_from,
+    random_tree_graph,
+    triangle_graph,
+)
 
 
 def run(capsys, *argv):
@@ -209,6 +217,22 @@ def test_bp_smoke(triangle_file, capsys):
     assert header["converged"] is True
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [triangle_graph(), bench_module.gen_ising_grid(bench_module.GridSpec(3, 3, 2, 1.0, 7))],
+    ids=["triangle", "grid3x3"],
+)
+def test_bp_without_options_prints_the_library_defaults(graph, tmp_path, capsys):
+    path = tmp_path / "g.fg"
+    path.write_text(write_fg(graph))
+    code, out, _ = run(capsys, "bp", "--in", str(path))
+    res = propagation.bp_marginals(parse_fg(path.read_text()))
+    expected = [{"converged": res.converged, "iterations": res.iterations, "residual": res.residual}]
+    expected += [{"variable": i, "belief": b.values.tolist()} for i, b in enumerate(res.beliefs)]
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == expected
+
+
 def test_bp_exits_2_when_the_messages_into_a_variable_vanish(tmp_path, capsys, recwarn):
     path = tmp_path / "vanish.fg"
     path.write_text(
@@ -324,7 +348,7 @@ def test_bp_refuses_bad_options_before_reading_the_graph(
 
 def test_compare_without_bp_skips_the_exact_oracle(triangle_file, tmp_path, capsys, monkeypatch):
     methods = list(bench_module.METHODS)
-    expected = bench_module.compare(triangle_graph(), methods, dict.fromkeys(methods, 5000))
+    expected = bench_module.compare(triangle_graph(), dict.fromkeys(methods, 5000))
 
     def oracle_never_called(*args, **kwargs):
         raise AssertionError("compare without --bp computed exact marginals")
@@ -427,6 +451,14 @@ def test_validate_exits_2_on_blocks_past_the_declared_count(tmp_path, capsys):
     assert code == 2
     assert "line 10: content past the declared 1 block(s)" in err
     assert out == ""
+
+
+def test_validate_exits_2_on_a_table_past_the_cap(tmp_path, capsys):
+    path = tmp_path / "huge.fg"
+    path.write_text(HUGE_BLOCK_FG)
+    code, out, err = run(capsys, "validate", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"error: {HUGE_BLOCK_ERROR}"
 
 
 def test_help_exits_zero(capsys):

@@ -10,6 +10,8 @@ from boxprop.factorgraph import (
     write_fg,
 )
 from helpers import (
+    HUGE_BLOCK_ERROR,
+    HUGE_BLOCK_FG,
     OVERLONG_FG,
     graph_from,
     grid_and_triangle_tables,
@@ -114,6 +116,9 @@ def test_write_lists_zero_entries():
         ("1\n\n1\n0\n1\n0\n", ">= 2"),  # one-state variable
         ("2\n\n1\n0\n2\n0\n", "end of input"),  # truncated file
         (OVERLONG_FG, "line 10: content past the declared 1 block(s): '1'"),
+        ("", "line 1: unexpected end of input, expected factor count"),  # empty file
+        ("# a comment\n\n", "line 1: unexpected end of input"),  # comments only
+        (HUGE_BLOCK_FG, HUGE_BLOCK_ERROR),  # a table past TABLE_CAP
     ],
 )
 def test_parse_errors(text, said):

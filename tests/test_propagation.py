@@ -13,10 +13,8 @@ from boxprop.errors import CapacityExceededError, ZeroMeasureError
 from boxprop.factorgraph import parse_fg, validate
 from boxprop.measure import Box, Measure, Simplex, box_product_disjoint_sbb, full_box
 from boxprop.propagation import (
-    FAC,
     FACTORIZED,
     JOINT,
-    VAR,
     bp_marginals,
     boxprop_sawtree,
     boxprop_subtree,
@@ -52,9 +50,14 @@ EX2_LOW, EX2_HIGH = 2 / 7, 5 / 7
 
 # ----------------------------------------------------------- subtree build
 
+VAR, FAC = "v", "f"  # the node tags of ``subtree_children``
+
 
 def subtree_children(g, t):
-    """Each subtree node's children, from the flat tree without its truncated markers."""
+    """Each subtree node's children, from the flat tree without its truncated markers.
+
+    A node is ``(VAR, v)`` for variable ``v`` and ``(FAC, fid)`` for factor ``fid``.
+    """
     n, end, kind, first = g.num_variables, t.end, t.kind, t.first
     node = lambda u: (VAR, u) if u < n else (FAC, u - n)
     kept = [k != propagation._TRUNCATED for k in kind]
@@ -182,9 +185,9 @@ def test_saw_tree_triangle_matches_enumeration():
     tree = build_saw_tree(g, 0, 100_000)
     walks = enumerate_saws(g, 0)
     assert tree.node_count == len(walks) == 13
-    cycles = [n for n in saw_nodes(tree) if n.kind == "cycle"]
-    assert len(cycles) == 2
-    assert {c.endpoint for c in cycles} == {(VAR, 0)}
+    # Both cycle leaves close at the root, one per direction round the triangle.
+    cycles = [u for u, k in zip(tree.end, tree.kind) if k == propagation._CYCLE]
+    assert cycles == [0, 0]
 
 
 def test_saw_tree_matches_enumeration_random():
@@ -224,9 +227,9 @@ def test_builders_reject_a_root_outside_the_graph():
                 build(g, root, 10)
 
 
-def check_flat_layout(g, tree):
-    """Invariants of a flat walk tree, and the round trip through its node view."""
-    n, end, prev, kind, first = g.num_variables, tree.end, tree.prev, tree.kind, tree.first
+def check_flat_layout(tree):
+    """Invariants of a flat walk tree, and its node view's kinds and child counts."""
+    end, prev, kind, first = tree.end, tree.prev, tree.kind, tree.first
     kinds = [propagation._KINDS[k] for k in kind]
     assert len(prev) == len(kind) == len(end) == len(first) - 1
     assert (end[0], prev[0], kinds[0]) == (tree.root, -1, "root")
@@ -239,10 +242,9 @@ def check_flat_layout(g, tree):
     assert tree.root_node is view
     nodes = [view]  # the view in breadth-first order
     for node in nodes:
-        assert all(child.parent is node for child in node.children)
         nodes.extend(node.children)
-    endpoints = [(VAR, u) if u < n else (FAC, u - n) for u in end]
-    assert [(x.endpoint, x.kind) for x in nodes] == list(zip(endpoints, kinds))
+    counts = [b - a for a, b in zip(first, first[1:])]
+    assert [(x.kind, len(x.children)) for x in nodes] == list(zip(kinds, counts))
 
 
 def test_flat_layout_of_both_builders():
@@ -251,8 +253,8 @@ def test_flat_layout_of_both_builders():
         g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=3)
         for root in range(g.num_variables):
             for budget in (1, 4, 25, 100_000):
-                check_flat_layout(g, build_saw_tree(g, root, budget))
-                check_flat_layout(g, reference_build_subtree(g, root, budget))
+                check_flat_layout(build_saw_tree(g, root, budget))
+                check_flat_layout(reference_build_subtree(g, root, budget))
 
 
 def tree_fields(t):
@@ -300,7 +302,7 @@ def test_subtree_lists_only_the_walks_that_reach_the_root(monkeypatch, cap):
             for budget in (1, 2, 5, 12, 60, 100_000):
                 t = build_subtree(g, root, budget)
                 ref = reference_build_subtree(g, root, budget)
-                assert tree_fields(t) == tree_fields(without_dead_walks(ref))
+                assert tree_fields(t) == tree_fields(without_dead_walks(ref, g.num_variables))
                 for rule in (FACTORIZED, JOINT):
                     (got, box), (want, _) = propagated(g, t, rule), propagated(g, ref, rule)
                     if got != want:
@@ -324,7 +326,7 @@ def test_early_stopping_subtree_builder_on_two_components():
             for budget in (1, 3, size // 2, size - 1, size, size + 1, 10_000):
                 ref = reference_build_subtree(g, root, budget)
                 assert ref.node_count == min(budget, size)
-                pruned = without_dead_walks(ref)
+                pruned = without_dead_walks(ref, g.num_variables)
                 assert tree_fields(build_subtree(g, root, budget)) == tree_fields(pruned)
                 cut += len(pruned.end) < len(ref.end)
     assert cut > 0
