@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from math import isfinite, prod
 from typing import Iterable, Sequence
 
@@ -30,8 +31,9 @@ __all__ = [
     "TABLE_CAP",
 ]
 
-# The most entries one table may hold: a factor's, checked by ``parse_fg``
-# before the table is allocated, and the brute-force oracle's joint one.
+# The most table entries one ``.fg`` file may hold, summed over its blocks and
+# checked by ``parse_fg`` at each sizes line before that table is allocated;
+# also the most joint states the brute-force oracle enumerates.
 TABLE_CAP = 1 << 26
 
 
@@ -45,8 +47,8 @@ class Factor:
     table: np.ndarray
 
     def __post_init__(self):
-        scope = tuple(int(v) for v in self.scope)
-        sizes = tuple(int(d) for d in self.sizes)
+        scope = tuple(map(int, self.scope))
+        sizes = tuple(map(int, self.sizes))
         if not scope:
             raise ValueError("factor scope must be nonempty")
         if len(set(scope)) != len(scope):
@@ -55,7 +57,7 @@ class Factor:
             raise ValueError(f"factor {self.id}: negative variable id in scope {scope}")
         if len(sizes) != len(scope):
             raise ValueError(f"factor {self.id}: scope/sizes length mismatch")
-        if any(d < 2 for d in sizes):
+        if min(sizes) < 2:
             raise ValueError(f"factor {self.id}: domain sizes must be >= 2, got {sizes}")
         table = np.array(self.table, dtype=np.float64).ravel()
         if table.size != prod(sizes):
@@ -229,11 +231,25 @@ def _content_lines(text: str) -> Iterable[tuple[int, str]]:
         yield lineno, line
 
 
+# Both number readers take only ASCII tokens without "_": ``int`` and ``float``
+# alone would read ``1_0`` as 10, and non-ASCII digits, such as Arabic-Indic
+# ones, by value.
 def _parse_int(token: str, lineno: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FgFormatError(lineno, f"expected integer {what}, got {token!r}") from None
+    if token.isascii() and "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise FgFormatError(lineno, f"expected integer {what}, got {token!r}")
+
+
+def _parse_float(token: str, lineno: int) -> float:
+    if token.isascii() and "_" not in token:
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    raise FgFormatError(lineno, f"bad table value {token!r}")
 
 
 def parse_fg(text: str) -> FactorGraph:
@@ -243,56 +259,57 @@ def parse_fg(text: str) -> FactorGraph:
     blocks): first line holds the number of factor blocks; each block holds the
     scope size ``k``, then ``k`` variable ids, then ``k`` aligned domain sizes,
     then the number ``m`` of listed entries, then ``m`` lines ``index value``.
-    Unlisted indices default to 0; content past the last block is an error. A
-    block whose sizes multiply to more than ``TABLE_CAP`` entries is refused
-    at its sizes line, before its table is allocated. Every error is an
-    :class:`FgFormatError` naming a line; input with no content line names
-    line 1.
+    Unlisted indices default to 0; an index listed twice, and content past
+    the last block, are errors. Numbers are ASCII tokens without ``_``. Once
+    the blocks' sizes multiply to more than ``TABLE_CAP`` entries in total,
+    the block that passes it is refused at its sizes line, before its table
+    is allocated. Every error is an :class:`FgFormatError` naming a line;
+    input with no content line names line 1.
     """
-    lines = iter(_content_lines(text))
-    last_line = 1
+    lines = _content_lines(text)
+    lineno = 1  # the line read last
 
-    def next_line(what: str) -> tuple[int, str]:
-        nonlocal last_line
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise FgFormatError(last_line, f"unexpected end of input, expected {what}") from None
-        last_line = lineno
-        return lineno, line
+    def next_line(what: str) -> str:
+        nonlocal lineno
+        for lineno, line in lines:
+            return line
+        raise FgFormatError(lineno, f"unexpected end of input, expected {what}")
 
-    lineno, line = next_line("factor count")
+    line = next_line("factor count")
     nfactors = _parse_int(line, lineno, "factor count")
     if nfactors < 1:
         raise FgFormatError(lineno, f"factor count must be >= 1, got {nfactors}")
 
     sizes_seen: dict[int, tuple[int, int]] = {}  # var -> (size, declaring line)
+    entries = 0  # table entries of the blocks read so far
     factors: list[Factor] = []
     for fid in range(nfactors):
-        lineno, line = next_line("scope size")
+        line = next_line("scope size")
         k = _parse_int(line, lineno, "scope size")
         if k < 1:
             raise FgFormatError(lineno, f"scope size must be >= 1, got {k}")
 
-        lineno, line = next_line("variable ids")
+        line = next_line("variable ids")
         tokens = line.split()
         if len(tokens) != k:
             raise FgFormatError(lineno, f"expected {k} variable ids, got {len(tokens)}")
         scope = tuple(_parse_int(t, lineno, "variable id") for t in tokens)
-        if any(v < 0 for v in scope):
+        if min(scope) < 0:
             raise FgFormatError(lineno, "variable ids must be nonnegative")
         if len(set(scope)) != k:
             raise FgFormatError(lineno, f"duplicate variable in scope {scope}")
 
-        lineno, line = next_line("domain sizes")
+        line = next_line("domain sizes")
         tokens = line.split()
         if len(tokens) != k:
             raise FgFormatError(lineno, f"expected {k} domain sizes, got {len(tokens)}")
         sizes = tuple(_parse_int(t, lineno, "domain size") for t in tokens)
-        if any(d < 2 for d in sizes):
+        if min(sizes) < 2:
             raise FgFormatError(lineno, f"domain sizes must be >= 2, got {sizes}")
-        if prod(sizes) > TABLE_CAP:
-            raise FgFormatError(lineno, f"{prod(sizes)} table entries, above the cap {TABLE_CAP}")
+        size = prod(sizes)
+        entries += size
+        if entries > TABLE_CAP:
+            raise FgFormatError(lineno, f"{entries} table entries, above the cap {TABLE_CAP}")
         for v, d in zip(scope, sizes):
             prev = sizes_seen.setdefault(v, (d, lineno))
             if prev[0] != d:
@@ -302,30 +319,32 @@ def parse_fg(text: str) -> FactorGraph:
                     f"{d} here vs {prev[0]} on line {prev[1]}",
                 )
 
-        lineno, line = next_line("entry count")
+        line = next_line("entry count")
         m = _parse_int(line, lineno, "entry count")
         if m < 0:
             raise FgFormatError(lineno, f"entry count must be >= 0, got {m}")
-        table = np.zeros(prod(sizes), dtype=np.float64)
-        for _ in range(m):
-            lineno, line = next_line("table entry")
+        table = np.zeros(size, dtype=np.float64)
+        set_on: dict[int, int] = {}  # index -> the line that listed it
+        for lineno, line in islice(lines, m):
             tokens = line.split()
             if len(tokens) != 2:
                 raise FgFormatError(lineno, f"expected 'index value', got {line!r}")
             idx = _parse_int(tokens[0], lineno, "table index")
-            if not 0 <= idx < table.size:
+            if not 0 <= idx < size:
+                raise FgFormatError(lineno, f"table index {idx} out of range [0, {size})")
+            first = set_on.setdefault(idx, lineno)
+            if first != lineno:
                 raise FgFormatError(
-                    lineno, f"table index {idx} out of range [0, {table.size})"
+                    lineno, f"table index {idx} repeated, first set on line {first}"
                 )
-            try:
-                value = float(tokens[1])
-            except ValueError:
-                raise FgFormatError(lineno, f"bad table value {tokens[1]!r}") from None
+            value = _parse_float(tokens[1], lineno)
             if not isfinite(value):
                 raise FgFormatError(lineno, f"table value must be finite, got {value}")
             if value < 0.0:
                 raise FgFormatError(lineno, f"table value must be nonnegative, got {value}")
             table[idx] = value
+        if len(set_on) < m:
+            raise FgFormatError(lineno, "unexpected end of input, expected table entry")
         factors.append(Factor(fid, scope, sizes, table))
     for lineno, line in lines:
         raise FgFormatError(lineno, f"content past the declared {nfactors} block(s): {line!r}")
@@ -333,7 +352,7 @@ def parse_fg(text: str) -> FactorGraph:
     try:
         return FactorGraph(factors)
     except ValueError as exc:
-        raise FgFormatError(last_line, str(exc)) from None
+        raise FgFormatError(lineno, str(exc)) from None
 
 
 def write_fg(g: FactorGraph) -> str:

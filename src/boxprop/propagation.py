@@ -44,10 +44,8 @@ weakly by graph, made on the first root, and dies with the graph. Connected
 components are the graph's (``FactorGraph.components``), found in one pass
 that :func:`boxprop.factorgraph.validate` and the subtree builder share. A
 root that starts on a registry whose memos exceed ``MESSAGE_MEMO_CAP``
-entries per bipartite node clears both memos in place; a root in flight
-keeps the boxes it holds. Distinct roots and methods can run concurrently:
-two roots that miss on one key store byte-equal boxes. A single pass is
-sequential.
+entries per bipartite node clears both memos in place. The engine is
+sequential: bound the roots of a graph from one thread at a time.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import frexp, inf, prod
-from threading import Lock
 from time import perf_counter
 from weakref import WeakKeyDictionary
 
@@ -108,8 +105,6 @@ BP_DAMPING = 0.0
 JOINT = "joint"
 FACTORIZED = "factorized"
 
-_MEMO_LOCK = Lock()
-
 
 class _Registry:
     """One graph's message memos, its adjacency and its constant messages.
@@ -147,7 +142,7 @@ class _Registry:
     def frontier(self) -> dict[tuple[int, int], Box]:
         """Every ``(fid, keep)``'s frontier message that ``frontier_boxes`` holds.
 
-        Built on the first frontier miss; racing threads build equal tables.
+        Built on the first frontier miss.
         """
         return frontier_boxes(self.factors)
 
@@ -157,13 +152,12 @@ _REGISTRIES: "WeakKeyDictionary[FactorGraph, _Registry]" = WeakKeyDictionary()
 
 def _registry(g: FactorGraph) -> _Registry:
     """The graph's registry, made on first use; both memos are cleared when full."""
-    with _MEMO_LOCK:
-        reg = _REGISTRIES.get(g)
-        if reg is None:
-            reg = _REGISTRIES[g] = _Registry(g)
-        elif len(reg.var_memo) + len(reg.factor_memo) > MESSAGE_MEMO_CAP * len(reg.nbrs):
-            reg.var_memo.clear()
-            reg.factor_memo.clear()
+    reg = _REGISTRIES.get(g)
+    if reg is None:
+        reg = _REGISTRIES[g] = _Registry(g)
+    elif len(reg.var_memo) + len(reg.factor_memo) > MESSAGE_MEMO_CAP * len(reg.nbrs):
+        reg.var_memo.clear()
+        reg.factor_memo.clear()
     return reg
 
 

@@ -54,6 +54,15 @@ OVERLONG_FG = "1\n\n1\n0\n2\n2\n0 1\n1 1\n\n1\n1\n2\n2\n0 1\n1 1\n"
 HUGE_BLOCK_FG = "1\n\n3\n0 1 2\n65536 65536 65536\n0\n"
 HUGE_BLOCK_ERROR = "line 5: 281474976710656 table entries, above the cap 67108864"
 
+# A 2-entry block, then an 8192x8192 block (sizes on line 10) of 2**26 entries,
+# which the cap allows alone but not in a file that already holds 2 entries.
+TOTAL_PAST_CAP_FG = "2\n\n1\n0\n2\n0\n\n2\n1 2\n8192 8192\n0\n"
+TOTAL_PAST_CAP_ERROR = "line 10: 67108866 table entries, above the cap 67108864"
+
+# A 2-entry block that lists index 0 on lines 7 and 9.
+REPEATED_INDEX_FG = "1\n\n1\n0\n2\n3\n0 1\n1 1\n0 5\n"
+REPEATED_INDEX_ERROR = "line 9: table index 0 repeated, first set on line 7"
+
 # A ternary 4-ary factor on (0, 1, 2, 3) and a pairwise factor (0, 4). At a
 # budget of 3 every child of the root's factors is cut off, so both send
 # frontier messages, the 4-ary one over 27 other states (the joint rule's

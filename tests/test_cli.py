@@ -14,6 +14,10 @@ from helpers import (
     HUGE_BLOCK_ERROR,
     HUGE_BLOCK_FG,
     OVERLONG_FG,
+    REPEATED_INDEX_ERROR,
+    REPEATED_INDEX_FG,
+    TOTAL_PAST_CAP_ERROR,
+    TOTAL_PAST_CAP_FG,
     WIDE_FACTOR_FG,
     graph_from,
     random_tree_graph,
@@ -459,6 +463,21 @@ def test_validate_exits_2_on_a_table_past_the_cap(tmp_path, capsys):
     code, out, err = run(capsys, "validate", "--in", str(path))
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == f"error: {HUGE_BLOCK_ERROR}"
+
+
+@pytest.mark.parametrize(
+    "text,said",
+    [(TOTAL_PAST_CAP_FG, TOTAL_PAST_CAP_ERROR), (REPEATED_INDEX_FG, REPEATED_INDEX_ERROR)],
+    ids=["tables-past-the-cap-in-total", "repeated-index"],
+)
+def test_validate_exits_2_on_a_refused_file(tmp_path, capsys, text, said):
+    # The total-cap file's second block is refused before its table is
+    # allocated.
+    path = tmp_path / "refused.fg"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"error: {said}"
 
 
 def test_help_exits_zero(capsys):

@@ -13,6 +13,10 @@ from helpers import (
     HUGE_BLOCK_ERROR,
     HUGE_BLOCK_FG,
     OVERLONG_FG,
+    REPEATED_INDEX_ERROR,
+    REPEATED_INDEX_FG,
+    TOTAL_PAST_CAP_ERROR,
+    TOTAL_PAST_CAP_FG,
     graph_from,
     grid_and_triangle_tables,
     random_connected_graph,
@@ -119,6 +123,13 @@ def test_write_lists_zero_entries():
         ("", "line 1: unexpected end of input, expected factor count"),  # empty file
         ("# a comment\n\n", "line 1: unexpected end of input"),  # comments only
         (HUGE_BLOCK_FG, HUGE_BLOCK_ERROR),  # a table past TABLE_CAP
+        (TOTAL_PAST_CAP_FG, TOTAL_PAST_CAP_ERROR),  # tables past it in total
+        (REPEATED_INDEX_FG, REPEATED_INDEX_ERROR),
+        # Number tokens are ASCII without "_", which int() and float() accept.
+        ("1\n\n1\n0\n1_0\n0\n", "line 5: expected integer domain size, got '1_0'"),
+        ("1\n\n1\n0\n2\n1\n0 \u0663\n", "line 7: bad table value '\u0663'"),
+        ("1\n\n1\n\u0660\n2\n0\n", "line 4: expected integer variable id, got '\u0660'"),
+        ("1\n\n1\n0\n2\n1\n0 2_5\n", "line 7: bad table value '2_5'"),
     ],
 )
 def test_parse_errors(text, said):

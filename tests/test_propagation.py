@@ -1,6 +1,4 @@
 import gc
-import sys
-import threading
 import weakref
 from collections import Counter
 from math import prod
@@ -599,33 +597,6 @@ def test_memo_dies_with_the_graph_and_respects_the_cap(monkeypatch):
     gc.collect()
     assert ref() is None
     assert len(propagation._REGISTRIES) == before
-
-
-def test_memo_shared_by_concurrent_roots(monkeypatch):
-    rng = np.random.default_rng(24)
-    g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=3)
-    expected = all_root_bytes(fresh_copy(g))
-    monkeypatch.setattr(propagation, "MESSAGE_MEMO_CAP", 3)
-    results = [None] * 4
-
-    def work(k):
-        results[k] = all_root_bytes(g)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-            assert not t.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert results == [expected] * 4
-    reg = propagation._REGISTRIES[g]
-    assert all(isinstance(box, Box) for memo in (reg.var_memo, reg.factor_memo)
-               for box in memo.values())
 
 
 def box_bytes(m):
