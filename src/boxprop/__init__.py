@@ -41,15 +41,5 @@ from .propagation import (
     build_subtree,
     exact_marginals,
 )
-from .bench import (
-    CompareResult,
-    DetailRecord,
-    GapRecord,
-    GridSpec,
-    compare,
-    gap,
-    gen_ising_grid,
-    gen_ternary_grid,
-)
 
 __version__ = "0.1.0"

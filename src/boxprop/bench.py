@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from statistics import median
 from time import perf_counter
 
 import numpy as np
@@ -296,4 +295,6 @@ def median_gap(records: list[GapRecord], method: str) -> float:
     gaps = [r.gap for r in records if r.method == method]
     if not gaps:
         raise ValueError(f"no gap records for method {method!r}")
-    return float(median(gaps))
+    gaps.sort()
+    mid = len(gaps) // 2
+    return float(gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2)

@@ -1,9 +1,10 @@
 """Command-line front end: generate, validate, bound, bp, exact, compare.
 
 Exit codes: 0 on success, 1 on usage errors, 2 on computation errors
-(validation failures, capacity limits, zero measures). Every run echoes its
-effective configuration to stderr so results are reproducible from the log.
-Output files are written atomically (write to a temp file, then rename).
+(validation failures, capacity limits, zero measures, running out of memory).
+Every run echoes its effective configuration to stderr so results are
+reproducible from the log. Output files are written atomically (write to a
+temp file, then rename).
 """
 
 from __future__ import annotations
@@ -258,8 +259,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except click.exceptions.Abort:
         return 1
-    except (FgFormatError, ZeroMeasureError, CapacityExceededError, OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
+    except (FgFormatError, ZeroMeasureError, CapacityExceededError, OSError, ValueError,
+            MemoryError) as exc:
+        click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
         return 2
     return int(rv) if isinstance(rv, int) else 0
 

@@ -35,6 +35,8 @@ __all__ = [
 # checked by ``parse_fg`` at each sizes line before that table is allocated;
 # also the most joint states the brute-force oracle enumerates.
 TABLE_CAP = 1 << 26
+# The most table entries ``validate`` stacks into one array; a larger table goes alone.
+STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,39 +190,44 @@ def validate(g: FactorGraph) -> list[Violation]:
         )
         out.append(Violation("disconnected", None, None, None, message))
 
+    found: dict[int, list[Violation]] = {}  # by factor id, the output order
+    groups: dict[tuple[int, ...], list[Factor]] = {}
     for f in g.factors:
-        nd = f.table_nd()
-        if not np.isfinite(f.table).all():
-            for assignment in np.argwhere(~np.isfinite(nd)):
-                at = tuple(int(x) for x in assignment)
-                out.append(
-                    Violation(
-                        "non-finite",
-                        f.id,
-                        None,
-                        at,
-                        f"factor {f.id}: table entry {nd[at]} at assignment "
-                        f"{dict(zip(f.scope, at))} is not finite",
-                    )
-                )
-            continue
-        for pos, v in enumerate(f.scope):
-            summed = nd.sum(axis=pos)
-            if summed.min() > 0.0:
-                continue
-            rest = tuple(u for u in f.scope if u != v)
-            for assignment in np.argwhere(~(summed > 0.0)):
-                out.append(
-                    Violation(
-                        "positivity",
-                        f.id,
-                        v,
-                        tuple(int(x) for x in assignment),
-                        f"factor {f.id}: sum over variable {v} is zero at "
-                        f"assignment {dict(zip(rest, (int(x) for x in assignment)))}",
-                    )
-                )
+        groups.setdefault(f.sizes, []).append(f)
+    for sizes, group in groups.items():
+        step = max(1, STACK_ENTRIES // prod(sizes))
+        for start in range(0, len(group), step):
+            _check_stack(group[start : start + step], found)
+    out.extend(v for fid in sorted(found) for v in found[fid])
     return out
+
+
+def _check_stack(fs: list[Factor], found: dict[int, list[Violation]]) -> None:
+    """Add to ``found`` the violations of factors ``fs``, which share their sizes."""
+    # One array of the tables, indexed after its first axis as by table_nd().
+    n, k = len(fs), len(fs[0].sizes)
+    nd = np.concatenate([f.table for f in fs]).reshape((n,) + fs[0].sizes[::-1])
+    nd = nd.transpose((0,) + tuple(range(k, 0, -1)))
+    finite = np.isfinite(nd).all(axis=tuple(range(1, k + 1)))
+    # On finite nonnegative tables a sum is positive exactly when a summand is.
+    positive = nd > 0.0
+    zero = [~positive.any(axis=pos + 1) for pos in range(k)]
+    flagged = ~finite | np.any([z.reshape(n, -1).any(axis=1) for z in zero], axis=0)
+    for j in np.flatnonzero(flagged).tolist():
+        f, t = fs[j], nd[j]
+        if not finite[j]:
+            found[f.id] = [
+                Violation("non-finite", f.id, None, at, f"factor {f.id}: table entry {t[at]} "
+                          f"at assignment {dict(zip(f.scope, at))} is not finite")
+                for at in map(tuple, np.argwhere(~np.isfinite(t)).tolist())
+            ]
+            continue
+        found[f.id] = [
+            Violation("positivity", f.id, v, at, f"factor {f.id}: sum over variable {v} is zero "
+                      f"at assignment {dict(zip(f.scope[:pos] + f.scope[pos + 1 :], at))}")
+            for pos, v in enumerate(f.scope)
+            for at in map(tuple, np.argwhere(zero[pos][j]).tolist())
+        ]
 
 
 def _content_lines(text: str) -> Iterable[tuple[int, str]]:

@@ -5,7 +5,7 @@ from math import prod
 import numpy as np
 
 from boxprop.errors import CapacityExceededError, ZeroMeasureError
-from boxprop.factorgraph import Factor, FactorGraph
+from boxprop.factorgraph import Factor, FactorGraph, Violation
 from boxprop.measure import (
     ENUMERATION_CAP,
     Box,
@@ -418,6 +418,54 @@ def reference_factor_message(reg, rule, fid, keep, kids):
             box = bound_sum_product(f, keep, incoming)
         reg.factor_memo[key] = box
     return box
+
+
+def reference_validate(g: FactorGraph) -> list[Violation]:
+    """``validate`` as a loop over factors, one table at a time, summing each slice."""
+    out: list[Violation] = []
+
+    label, size = g.components
+    if len(size) > 1:
+        reached = label.count(0)
+        message = (
+            f"graph is disconnected: reached {reached}/{g.num_variables} variables "
+            f"and {size[0] - reached}/{g.num_factors} factors from variable 0"
+        )
+        out.append(Violation("disconnected", None, None, None, message))
+
+    for f in g.factors:
+        nd = f.table_nd()
+        if not np.isfinite(f.table).all():
+            for assignment in np.argwhere(~np.isfinite(nd)):
+                at = tuple(int(x) for x in assignment)
+                out.append(
+                    Violation(
+                        "non-finite",
+                        f.id,
+                        None,
+                        at,
+                        f"factor {f.id}: table entry {nd[at]} at assignment "
+                        f"{dict(zip(f.scope, at))} is not finite",
+                    )
+                )
+            continue
+        for pos, v in enumerate(f.scope):
+            summed = nd.sum(axis=pos)
+            if summed.min() > 0.0:
+                continue
+            rest = tuple(u for u in f.scope if u != v)
+            for assignment in np.argwhere(~(summed > 0.0)):
+                out.append(
+                    Violation(
+                        "positivity",
+                        f.id,
+                        v,
+                        tuple(int(x) for x in assignment),
+                        f"factor {f.id}: sum over variable {v} is zero at "
+                        f"assignment {dict(zip(rest, (int(x) for x in assignment)))}",
+                    )
+                )
+    return out
 
 
 def reference_build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:

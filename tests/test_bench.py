@@ -1,4 +1,5 @@
 import importlib.util
+import statistics
 import warnings
 from pathlib import Path
 
@@ -201,6 +202,18 @@ def test_median_sawtree_beats_subtree_on_grid():
     g = gen_ising_grid(GridSpec(5, 5, 2, 1.0, 42))
     result = compare(g, {"subtree": 5000, "sawtree": 2000})
     assert median_gap(result.gap_records, "sawtree") <= median_gap(result.gap_records, "subtree")
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_median_gap_equals_statistics_median(n):
+    rng = np.random.default_rng(n)
+    gaps = rng.uniform(0.0, 1.0, n).tolist()
+    records = [GapRecord(v, "subtree", x, 1.0) for v, x in enumerate(gaps)]
+    records += [GapRecord(0, "sawtree", 2.0, 1.0)]
+    assert median_gap(records, "subtree") == statistics.median(gaps)
+    assert median_gap(records, "sawtree") == 2.0
+    with pytest.raises(ValueError):
+        median_gap(records, "bp")
 
 
 # ----------------------------------------------------------------- reports

@@ -480,6 +480,25 @@ def test_validate_exits_2_on_a_refused_file(tmp_path, capsys, text, said):
     assert err.splitlines()[-1] == f"error: {said}"
 
 
+@pytest.mark.parametrize(
+    "exc,said",
+    [(MemoryError("Unable to allocate 512. MiB"), "Unable to allocate 512. MiB"),
+     (MemoryError(), "MemoryError")],
+    ids=["numpy-message", "no-message"],
+)
+def test_validate_exits_2_when_memory_runs_out(triangle_file, capsys, monkeypatch, exc, said):
+    # A file inside the table cap can still need more memory than the host
+    # has; the reader's MemoryError is an error line, not a traceback.
+    def parse_fg(text):
+        raise exc
+
+    monkeypatch.setattr(cli_module, "parse_fg", parse_fg)
+    code, out, err = run(capsys, "validate", "--in", triangle_file)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"error: {said}"
+    assert "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

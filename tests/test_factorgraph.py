@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from boxprop import factorgraph
 from boxprop.errors import FgFormatError
 from boxprop.factorgraph import (
     Factor,
@@ -20,6 +23,7 @@ from helpers import (
     graph_from,
     grid_and_triangle_tables,
     random_connected_graph,
+    reference_validate,
     triangle_graph,
 )
 
@@ -196,6 +200,97 @@ def test_validate_disconnected():
         assert [(v.kind, v.message) for v in violations] == [
             ("disconnected", f"graph is disconnected: reached {reached} from variable 0")
         ]
+
+
+def _defect_graph(rng):
+    """Seeded graph of unary, pairwise and 3-ary factors over domains 2-4, some
+    with ``inf``/``NaN`` entries, some with zero-sum slices, some with both.
+
+    Variables that no factor drew get a unary factor, so ids stay dense; the
+    graph is often disconnected. Returns the graph and the (arity, defects)
+    of each factor, defects a bit set: 1 non-finite, 2 zero slices.
+    """
+    n = int(rng.integers(3, 9))
+    sizes = [int(d) for d in rng.integers(2, 5, n)]
+    tables, kinds = [], []
+    for _ in range(int(rng.integers(4, 16))):
+        scope = tuple(int(v) for v in rng.choice(n, int(rng.integers(1, 4)), replace=False))
+        shape = tuple(sizes[v] for v in scope)
+        nd = rng.uniform(0.1, 2.0, shape)  # indexed like Factor.table_nd()
+        defects = int(rng.integers(0, 4))
+        if defects & 2:
+            if rng.random() < 0.5:
+                nd[rng.random(shape) < 0.6] = 0.0
+            for _ in range(int(rng.integers(1, 3))):
+                at = [int(rng.integers(d)) for d in shape]
+                at[int(rng.integers(len(shape)))] = slice(None)
+                nd[tuple(at)] = 0.0
+        if defects & 1:
+            for _ in range(int(rng.integers(1, 3))):
+                nd[tuple(int(rng.integers(d)) for d in shape)] = rng.choice([np.inf, np.nan])
+        tables.append((scope, shape, nd.ravel(order="F")))
+        kinds.append((len(scope), defects))
+    for v in sorted(set(range(n)) - {u for scope, _, _ in tables for u in scope}):
+        tables.append(((v,), (sizes[v],), rng.uniform(0.1, 2.0, sizes[v])))
+        kinds.append((1, 0))
+    return graph_from(tables), kinds
+
+
+@pytest.mark.parametrize("stack_entries", [factorgraph.STACK_ENTRIES, 8])
+def test_validate_equals_the_per_factor_loop(monkeypatch, stack_entries):
+    # At 8 entries most groups span several stacks and a 3-ary table of 27 or
+    # more entries is checked alone.
+    monkeypatch.setattr(factorgraph, "STACK_ENTRIES", stack_entries)
+    rng = np.random.default_rng(2001)
+    seen = set()
+    for _ in range(300):
+        g, kinds = _defect_graph(rng)
+        got, want = validate(g), reference_validate(g)
+        assert got == want
+        assert repr(got) == repr(want)  # Python ints in every assignment
+        flagged = {v.factor for v in got}
+        seen |= {(arity, d) for fid, (arity, d) in enumerate(kinds) if fid in flagged}
+        seen |= {v.kind for v in got}
+    assert {"disconnected", "non-finite", "positivity"} <= seen
+    assert {(arity, d) for arity in (1, 2, 3) for d in (1, 2, 3)} <= seen
+
+
+def test_validate_reports_one_factor_with_both_defects():
+    # Factor 1 has a zero-sum slice and a NaN; it gets only the non-finite
+    # violation, after factor 0's positivity violations, in factor order.
+    g = graph_from(
+        [
+            ((0, 1, 2), (2, 3, 2), np.r_[np.zeros(2), np.ones(10)]),
+            ((1, 2), (3, 2), (0.0, 0.0, 0.0, 1.0, np.nan, 1.0)),
+            ((0,), (2,), (1.0, 1.0)),
+        ]
+    )
+    got = validate(g)
+    assert got == reference_validate(g)
+    assert [(v.kind, v.factor, v.variable, v.assignment) for v in got] == [
+        ("positivity", 0, 0, (0, 0)),
+        ("non-finite", 1, None, (1, 1)),
+    ]
+    assert got[1].message == "factor 1: table entry nan at assignment {1: 1, 2: 1} is not finite"
+
+
+def test_validate_extra_memory_stays_within_the_stack_budget():
+    # 2,000 tables of 64 entries fill two stacks; one table of twice the
+    # budget is stacked alone. validate copies a stack's tables and keeps one
+    # byte per entry for the positivity mask; the slack covers numpy's
+    # reduction buffers and the Python objects, not a second copy (1 MB).
+    budget = factorgraph.STACK_ENTRIES
+    tables = [((v, v + 1), (8, 8), np.ones(64)) for v in range(2000)]
+    tables.append(((2000, 2001, 2002), (8, 64, budget // 256), np.ones(2 * budget)))
+    g = graph_from(tables)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert validate(g) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2 * budget + 128 * 1024
 
 
 def _bfs_components(g):
