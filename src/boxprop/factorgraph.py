@@ -61,7 +61,11 @@ class Factor:
             raise ValueError(f"factor {self.id}: scope/sizes length mismatch")
         if min(sizes) < 2:
             raise ValueError(f"factor {self.id}: domain sizes must be >= 2, got {sizes}")
-        table = np.array(self.table, dtype=np.float64).ravel()
+        # A frozen array that owns its data, as parse_fg hands over, is kept if
+        # it is float64; anything else, a caller's writable array too, is copied.
+        t = self.table
+        frozen = isinstance(t, np.ndarray) and t.flags.owndata and not t.flags.writeable
+        table = (np.asarray if frozen else np.array)(t, dtype=np.float64).ravel()
         if table.size != prod(sizes):
             raise ValueError(
                 f"factor {self.id}: table length {table.size} != product of sizes {prod(sizes)}"
@@ -100,9 +104,12 @@ class FactorGraph:
                         f"inconsistent domain size for variable {v}: {sizes[v]} vs {d}"
                     )
         n = max(sizes) + 1
-        missing = set(range(n)) - set(sizes)
-        if missing:
-            raise ValueError(f"variable ids must be dense 0-based; missing {sorted(missing)}")
+        if len(sizes) != n:
+            # At most len(sizes) + 11 ids are tried, however large the largest id.
+            missing = list(islice((i for i in range(n) if i not in sizes), 11))
+            if len(missing) > 10:
+                missing = f"{n - len(sizes)} ids, the first ten {missing[:10]}"
+            raise ValueError(f"variable ids must be dense 0-based; missing {missing}")
         self.factors: tuple[Factor, ...] = tuple(factors)
         # Domain size of each variable, by id.
         self.sizes: tuple[int, ...] = tuple(sizes[i] for i in range(n))
@@ -352,6 +359,7 @@ def parse_fg(text: str) -> FactorGraph:
             table[idx] = value
         if len(set_on) < m:
             raise FgFormatError(lineno, "unexpected end of input, expected table entry")
+        table.setflags(write=False)  # so that Factor keeps it instead of copying
         factors.append(Factor(fid, scope, sizes, table))
     for lineno, line in lines:
         raise FgFormatError(lineno, f"content past the declared {nfactors} block(s): {line!r}")

@@ -11,17 +11,19 @@ the corners of a box, or the one-hot measures of a simplex.
 All operations are pure functions of immutable inputs and are safe to call
 concurrently. They are also deterministic: equal input bytes give equal output
 bytes. ``boxprop.propagation`` relies on that to memoize variable and factor
-messages per graph, keyed on the very boxes a message was computed from (at
-most ``MESSAGE_MEMO_CAP`` entries per graph node before the memos are
-cleared), so a memo hit is bit-identical to a recomputation. The
-only state kept here: per factor, its table as one C-contiguous summed-out
-matrix per scope variable (all built on the factor's first use, each by one
-reshape, transpose and copy; the cache dies with the factor); and a
-read-only corner-selection bit table per number of free states (at most 20,
-one per count the cap allows; the table for ``f`` free states is
-``2**f * f`` bytes, at most 1/8 of the corner matrix built from it). A
-simplex's extreme points, the rows of ``np.eye(d)``, are made per call: the
-frontier table of ``boxprop.propagation`` serves most simplex children.
+messages per graph in one memo, keyed on the very boxes a message was computed
+from (at most ``MESSAGE_MEMO_CAP`` entries per graph node before the memo is
+cleared), so a memo hit is bit-identical to a recomputation. Every box the
+engine makes comes from ``Box._new(scope, sizes, lower, upper)``, which wraps
+two flat arrays without checks. The only state kept here: per factor, its
+table as one C-contiguous summed-out matrix per scope variable (all built on
+the factor's first use, each by one reshape, transpose and copy; the cache
+dies with the factor); and a read-only corner-selection bit table per number
+of free states (at most 20, one per count the cap allows; the table for ``f``
+free states is ``2**f * f`` bytes, at most 1/8 of the corner matrix built
+from it). A simplex's extreme points, the rows of ``np.eye(d)``, are made
+per call: the frontier table of ``boxprop.propagation`` serves most simplex
+children.
 
 :func:`multiply` and :func:`marginalize_out` (the exact oracles' algebra)
 work on reshaped views of flat values: one IEEE product per entry, and one
@@ -186,11 +188,11 @@ class Box:
         return self.lower.sizes
 
     @classmethod
-    def _new(cls, lower: Measure, upper: Measure):
-        # Internal fast path: callers guarantee lower <= upper on one scope.
+    def _new(cls, scope: tuple[int, ...], sizes: tuple[int, ...], lower, upper):
+        # Internal fast path: callers guarantee lower <= upper, flat on one scope.
         b = object.__new__(cls)
-        b.lower = lower
-        b.upper = upper
+        b.lower = Measure._new(scope, sizes, lower)
+        b.upper = Measure._new(scope, sizes, upper)
         return b
 
 
@@ -211,18 +213,13 @@ MessageSet = Union[Simplex, Box]
 
 def full_box(var: int, domain_size: int) -> Box:
     """The [0,1] box on one variable: the loosest box containing the simplex."""
-    scope, sizes = (var,), (domain_size,)
-    return Box._new(
-        Measure._new(scope, sizes, np.zeros(domain_size)),
-        Measure._new(scope, sizes, np.ones(domain_size)),
-    )
+    return Box._new((var,), (domain_size,), np.zeros(domain_size), np.ones(domain_size))
 
 
 def unit_box(var: int, domain_size: int) -> Box:
     """Degenerate box at the constant-1 measure (multiplicative identity)."""
-    scope, sizes = (var,), (domain_size,)
     ones = np.ones(domain_size)
-    return Box._new(Measure._new(scope, sizes, ones), Measure._new(scope, sizes, ones))
+    return Box._new((var,), (domain_size,), ones, ones)
 
 
 @cache
@@ -273,7 +270,7 @@ def box_product_same_scope(boxes: Sequence[Box]) -> Box:
             raise ValueError("all boxes must share one scope")
         lower = lower * b.lower.values
         upper = upper * b.upper.values
-    return Box._new(Measure._new(scope, sizes, lower), Measure._new(scope, sizes, upper))
+    return Box._new(scope, sizes, lower, upper)
 
 
 def box_product_disjoint_sbb(boxes: Sequence[Box]) -> Box:
@@ -288,7 +285,7 @@ def box_product_disjoint_sbb(boxes: Sequence[Box]) -> Box:
         raise ValueError(f"scopes must be pairwise disjoint; {scope} repeats a variable")
     if not boxes:
         ones = np.ones(1)
-        return Box._new(Measure._new((), (), ones), Measure._new((), (), ones))
+        return Box._new((), (), ones, ones)
     if len(boxes) == 1:
         return boxes[0]
     # Flat outer products, each entry one product taken in the same order as
@@ -298,7 +295,7 @@ def box_product_disjoint_sbb(boxes: Sequence[Box]) -> Box:
         lower = np.multiply.outer(b.lower.values, lower).ravel()
         upper = np.multiply.outer(b.upper.values, upper).ravel()
     sizes = tuple(d for b in boxes for d in b.lower.sizes)
-    return Box._new(Measure._new(scope, sizes, lower), Measure._new(scope, sizes, upper))
+    return Box._new(scope, sizes, lower, upper)
 
 
 def _bounding_box_of_normalized(
@@ -320,10 +317,7 @@ def _bounding_box_of_normalized(
         images = images[:, mask]
         z = z[mask]
     norm = images / z
-    return Box._new(
-        Measure._new(scope, sizes, np.minimum.reduce(norm, axis=1)),
-        Measure._new(scope, sizes, np.maximum.reduce(norm, axis=1)),
-    )
+    return Box._new(scope, sizes, np.minimum.reduce(norm, axis=1), np.maximum.reduce(norm, axis=1))
 
 
 _SUMMED_MATRICES: "WeakKeyDictionary[Factor, dict[int, np.ndarray]]" = WeakKeyDictionary()
@@ -440,7 +434,7 @@ def frontier_boxes(factors: Iterable[Factor]) -> dict[tuple[int, int], Box]:
         lower, upper = np.minimum.reduce(norm, axis=2), np.maximum.reduce(norm, axis=2)
         for r in (np.minimum.reduce(z, axis=1) > 0.0).nonzero()[0].tolist():
             f, v = pairs[r]
-            boxes[f.id, v] = Box._new(*(Measure._new((v,), (d,), b[r]) for b in (lower, upper)))
+            boxes[f.id, v] = Box._new((v,), (d,), lower[r], upper[r])
     return boxes
 
 

@@ -29,23 +29,24 @@ kind and children, is built on first access, and is read by the benchmark
 tracer's walk counts, never by the engine.
 
 A message is the int ``v``, standing for the simplex on variable ``v``, or a
-:class:`Box`. A variable memo keyed on the variable and its children's
-messages, and a factor memo keyed on the rule, factor, parent variable and
-children's messages, make a repeated local neighbourhood cost one tuple and
-one dict lookup; walk trees repeat neighbourhoods many times. The keys rely
-on ``Box`` staying ``eq=False``, so that a box hashes by identity. A factor
-whose children all send simplices sends a constant, the same under both
-rules: such frontier messages come from one table per graph, bypassing the
-five traced kernels. A key fixes its inputs' bytes and order and the kernels
-are deterministic, so every bound is bit-identical to an unmemoized run.
+:class:`Box`. One memo, keyed on a variable and its children's messages or on
+the rule, factor, parent variable and children's messages, makes a repeated
+local neighbourhood cost one tuple and one dict lookup; walk trees repeat
+neighbourhoods many times. The keys rely on ``Box`` staying ``eq=False``, so
+that a box hashes by identity. A miss computes its message from the key alone,
+with no per-factor plan or cached box. A factor whose children all send
+simplices sends a constant, the same under both rules: such frontier messages
+come from one table per graph, bypassing the five traced kernels. A key fixes
+its inputs' bytes and order and the kernels are deterministic, so every bound
+is bit-identical to an unmemoized run.
 
-The registry holding both memos, the table and the cached adjacency is held
+The registry holding the memo, the table and the cached adjacency is held
 weakly by graph, made on the first root, and dies with the graph. Connected
 components are the graph's (``FactorGraph.components``), found in one pass
 that :func:`boxprop.factorgraph.validate` and the subtree builder share. A
-root that starts on a registry whose memos exceed ``MESSAGE_MEMO_CAP``
-entries per bipartite node clears both memos in place. The engine is
-sequential: bound the roots of a graph from one thread at a time.
+root that starts on a registry whose memo exceeds ``MESSAGE_MEMO_CAP``
+entries per bipartite node clears it in place. The engine is sequential:
+bound the roots of a graph from one thread at a time.
 """
 
 from __future__ import annotations
@@ -107,43 +108,31 @@ FACTORIZED = "factorized"
 
 
 class _Registry:
-    """One graph's message memos, its adjacency and its constant messages.
+    """One graph's message memo, its adjacency and its constant messages.
 
-    ``var_memo`` maps ``(v, *child messages)`` and ``factor_memo`` maps
-    ``(rule, fid, keep, *child messages)`` to the box sent, a factor's
-    children following its other scope variables in ascending order. Bipartite
-    node ``i`` is variable ``i``, or factor ``i - num_variables``; ``nbrs[i]``
-    lists its neighbours in ascending id order; ``bit[i]`` is ``1 << i`` for
-    walk masks (``N**2 / 16`` bytes for ``N`` nodes). ``full[v]`` is the
-    [0,1] box on ``v``; ``plans`` maps ``(fid, keep)`` to the other scope
-    variables and their child positions, and ``frontier`` to the message both
-    rules send when every child is a simplex.
+    ``memo`` maps a variable key ``(v, *child messages)`` or a factor key
+    ``(rule, fid, keep, *child messages)`` to the box sent; a factor key's
+    leading ``str`` keeps the two kinds apart, and its children follow the
+    factor's other scope variables in ascending order. Bipartite node ``i`` is
+    variable ``i``, or factor ``i - num_variables``; ``nbrs[i]`` lists its
+    neighbours in ascending id order; ``bit[i]`` is ``1 << i`` for walk masks
+    (``N**2 / 16`` bytes for ``N`` nodes). ``frontier`` maps ``(fid, keep)``
+    to the message both rules send when every child is a simplex.
     """
 
     def __init__(self, g: FactorGraph):
-        n = g.num_variables
-        self.num_variables = n
+        self.num_variables = n = g.num_variables
         self.factors = g.factors
         self.sizes = g.sizes
-        self.var_memo: dict[tuple, Box] = {}
-        self.factor_memo: dict[tuple, Box] = {}
-        self.plans: dict[tuple[int, int], tuple] = {}
+        self.memo: dict[tuple, Box] = {}
         self.nbrs: tuple[tuple[int, ...], ...] = tuple(
             tuple(n + fid for fid in g.var_factors(v)) for v in range(n)
         ) + tuple(tuple(sorted(f.scope)) for f in g.factors)
         self.bit = [1 << i for i in range(len(self.nbrs))]
 
     @cached_property
-    def full(self) -> list[Box]:
-        """The [0,1] box per variable, for the joint rule's simplex children."""
-        return [full_box(v, d) for v, d in enumerate(self.sizes)]
-
-    @cached_property
     def frontier(self) -> dict[tuple[int, int], Box]:
-        """Every ``(fid, keep)``'s frontier message that ``frontier_boxes`` holds.
-
-        Built on the first frontier miss.
-        """
+        """The ``(fid, keep)`` pairs' ``frontier_boxes``, built on the first frontier miss."""
         return frontier_boxes(self.factors)
 
 
@@ -151,24 +140,23 @@ _REGISTRIES: "WeakKeyDictionary[FactorGraph, _Registry]" = WeakKeyDictionary()
 
 
 def _registry(g: FactorGraph) -> _Registry:
-    """The graph's registry, made on first use; both memos are cleared when full."""
+    """The graph's registry, made on first use; its memo is cleared when full."""
     reg = _REGISTRIES.get(g)
     if reg is None:
         reg = _REGISTRIES[g] = _Registry(g)
-    elif len(reg.var_memo) + len(reg.factor_memo) > MESSAGE_MEMO_CAP * len(reg.nbrs):
-        reg.var_memo.clear()
-        reg.factor_memo.clear()
+    elif len(reg.memo) > MESSAGE_MEMO_CAP * len(reg.nbrs):
+        reg.memo.clear()
     return reg
 
 
 def _variable_message(reg: _Registry, v: int, kids: tuple[Box, ...]) -> Box:
-    """The box variable ``v`` sends, computed on a variable-memo miss.
+    """The box variable ``v`` sends, computed on a memo miss.
 
     ``kids`` holds its children's boxes, none a simplex (which absorbs the
     product); no children send the unit box.
     """
     box = box_product_same_scope(kids) if kids else unit_box(v, reg.sizes[v])
-    reg.var_memo[(v,) + kids] = box
+    reg.memo[(v,) + kids] = box
     return box
 
 
@@ -178,29 +166,25 @@ def _factor_message(
     """The box factor ``fid`` sends to ``keep`` under ``rule``, computed on a miss.
 
     ``kids`` holds the messages of the other scope variables in ascending
-    variable order; the pair's plan reads them in scope order. The ``JOINT``
-    rule encloses them in one joint box (a simplex becomes the registry's [0,1]
-    box on its variable) and enumerates its corners; the ``FACTORIZED`` rule
-    enumerates each set's extreme points separately. With simplices only, both
-    rules send the factorized box, as the joint corner images are convex
-    combinations of the factor's columns; the frontier table holds most.
+    variable order. The ``JOINT`` rule encloses them, in scope order, in one
+    joint box (a simplex becomes the [0,1] box on its variable) and enumerates
+    its corners; the ``FACTORIZED`` rule enumerates each set's extreme points
+    separately. With simplices only, both rules send the factorized box, as
+    the joint corner images are convex combinations of the factor's columns;
+    the frontier table holds most.
     """
     f = reg.factors[fid]
-    plan = reg.plans.get((fid, keep))
-    if plan is None:
-        others = tuple(v for v in f.scope if v != keep)
-        plan = reg.plans[fid, keep] = (others, tuple(map(sorted(others).index, others)))
-    others, order = plan
-    kids_in_scope = [kids[p] for p in order]
+    others = [v for v in f.scope if v != keep]
+    sent = dict(zip(sorted(others), kids))
     simplices_only = all(type(m) is int for m in kids)
     box = reg.frontier.get((fid, keep)) if simplices_only else None
     if rule == JOINT and not simplices_only:
-        boxes = [reg.full[m] if type(m) is int else m for m in kids_in_scope]
+        boxes = [full_box(v, reg.sizes[v]) if type(sent[v]) is int else sent[v] for v in others]
         box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
     elif box is None:
-        sets = [Simplex(m, reg.sizes[m]) if type(m) is int else m for m in kids_in_scope]
-        box = bound_sum_product(f, keep, dict(zip(others, sets)))
-    reg.factor_memo[(rule, fid, keep) + kids] = box
+        sets = {v: Simplex(v, reg.sizes[v]) if type(m) is int else m for v, m in sent.items()}
+        box = bound_sum_product(f, keep, sets)
+    reg.memo[(rule, fid, keep) + kids] = box
     return box
 
 
@@ -279,7 +263,7 @@ def _propagate(reg: _Registry, t: SawTree, rule: str) -> Box:
     """
     n = reg.num_variables
     end, prev, kind, first = t.end, t.prev, t.kind, t.first
-    var_hit, factor_hit = reg.var_memo.get, reg.factor_memo.get
+    hit = reg.memo.get
     msg: list[int | Box] = [0] * len(end)
     for i in range(len(end) - 1, 0, -1):
         u = end[i]
@@ -288,17 +272,26 @@ def _propagate(reg: _Registry, t: SawTree, rule: str) -> Box:
             continue
         kids = tuple(msg[first[i] : first[i + 1]])
         if u >= n:
-            m = factor_hit((rule, u - n, prev[i]) + kids)
+            m = hit((rule, u - n, prev[i]) + kids)
             msg[i] = _factor_message(reg, rule, u - n, prev[i], kids) if m is None else m
         elif u in kids:
             msg[i] = u
         else:
-            m = var_hit((u,) + kids)
+            m = hit((u,) + kids)
             msg[i] = _variable_message(reg, u, kids) if m is None else m
     kids, root = msg[first[0] : first[1]], t.root
     if not kids or root in kids:
         return full_box(root, reg.sizes[root])
     return normalized_corner_box(box_product_same_scope(kids))
+
+
+def _builder_registry(g: FactorGraph, root: int, max_nodes: int) -> _Registry:
+    """The graph's registry, once ``root`` and ``max_nodes`` pass the builders' checks."""
+    if max_nodes < 1:
+        raise ValueError("max_nodes must be >= 1")
+    if not 0 <= root < g.num_variables:
+        raise ValueError(f"root {root} is not a variable of the graph")
+    return _registry(g)
 
 
 def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
@@ -311,11 +304,7 @@ def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     markers, which later propagate the loosest possible message. The tree's
     lists are the queue: walks are expanded in the order they were appended.
     """
-    if max_nodes < 1:
-        raise ValueError("max_nodes must be >= 1")
-    if not 0 <= root < g.num_variables:
-        raise ValueError(f"root {root} is not a variable of the graph")
-    reg = _registry(g)
+    reg = _builder_registry(g, root, max_nodes)
     nbrs, bit = reg.nbrs, reg.bit
     end, prev, kind, first = [root], [-1], [_ROOT], []
     # Each walk's node set as a bitmask over bipartite ids.
@@ -361,11 +350,7 @@ def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     :func:`boxprop_sawtree` gives the same box over this tree as the
     factorized rule of :func:`boxprop_subtree`.
     """
-    if max_nodes < 1:
-        raise ValueError("max_nodes must be >= 1")
-    if not 0 <= root < g.num_variables:
-        raise ValueError(f"root {root} is not a variable of the graph")
-    reg = _registry(g)
+    reg = _builder_registry(g, root, max_nodes)
     n, nbrs = reg.num_variables, reg.nbrs
     end, prev, kind, first = [root], [-1], [_ROOT], []
     # Joined nodes in breadth-first order: endpoint, parent endpoint and walk
@@ -415,6 +400,13 @@ def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     return SawTree(root, count, end, prev, kind, first)
 
 
+def _bound(g: FactorGraph, t: SawTree, rule: str, method: str) -> BoundResult:
+    """One pass over ``t`` under ``rule``, timed and labelled ``method``."""
+    start = perf_counter()
+    belief = _propagate(_registry(g), t, rule)
+    return BoundResult(t.root, belief, method, t.node_count, perf_counter() - start)
+
+
 def boxprop_subtree(g: FactorGraph, t: SawTree) -> BoundResult:
     """Leaf-to-root box propagation over :func:`build_subtree`'s tree.
 
@@ -423,9 +415,7 @@ def boxprop_subtree(g: FactorGraph, t: SawTree) -> BoundResult:
     apply the factorized rule, and a graph edge missing from the subtree sends
     a whole simplex, as a truncated walk does.
     """
-    start = perf_counter()
-    belief = _propagate(_registry(g), t, FACTORIZED)
-    return BoundResult(t.root, belief, "subtree", t.node_count, perf_counter() - start)
+    return _bound(g, t, FACTORIZED, "subtree")
 
 
 def boxprop_sawtree(g: FactorGraph, t: SawTree) -> BoundResult:
@@ -434,9 +424,7 @@ def boxprop_sawtree(g: FactorGraph, t: SawTree) -> BoundResult:
     The returned box contains the exact root marginal and any converged loopy
     BP belief, whether or not the tree was truncated.
     """
-    start = perf_counter()
-    belief = _propagate(_registry(g), t, JOINT)
-    return BoundResult(t.root, belief, "sawtree", t.node_count, perf_counter() - start)
+    return _bound(g, t, JOINT, "sawtree")
 
 
 @dataclass(eq=False)

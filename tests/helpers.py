@@ -317,10 +317,7 @@ def reference_bounding_box_of_normalized(images, scope, sizes) -> Box:
         images = images[:, mask]
         z = z[mask]
     norm = images / z
-    return Box._new(
-        Measure._new(scope, sizes, norm.min(axis=1)),
-        Measure._new(scope, sizes, norm.max(axis=1)),
-    )
+    return Box._new(scope, sizes, norm.min(axis=1), norm.max(axis=1))
 
 
 def reference_summed_out_matrix(factor: Factor, keep: int) -> np.ndarray:
@@ -378,13 +375,13 @@ def reference_variable_message(reg, v, kids):
     if v in kids:
         return v
     key = (v,) + kids
-    box = reg.var_memo.get(key)
+    box = reg.memo.get(key)
     if box is None:
         if kids:
             box = box_product_same_scope(list(kids))
         else:
             box = unit_box(v, reg.sizes[v])
-        reg.var_memo[key] = box
+        reg.memo[key] = box
     return box
 
 
@@ -400,7 +397,7 @@ def reference_factor_message(reg, rule, fid, keep, kids):
     columns that box encloses.
     """
     key = (rule, fid, keep) + kids
-    box = reg.factor_memo.get(key)
+    box = reg.memo.get(key)
     if box is None:
         f = reg.factors[fid]
         others = [v for v in sorted(f.scope) if v != keep]
@@ -416,7 +413,7 @@ def reference_factor_message(reg, rule, fid, keep, kids):
             box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
         else:
             box = bound_sum_product(f, keep, incoming)
-        reg.factor_memo[key] = box
+        reg.memo[key] = box
     return box
 
 

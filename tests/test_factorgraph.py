@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -381,6 +382,45 @@ def test_graph_construction_errors():
         FactorGraph([f_ok, Factor(1, (0,), (3,), np.ones(3))])  # size clash
     with pytest.raises(ValueError):
         FactorGraph([Factor(0, (1,), (2,), np.ones(2))])  # missing variable 0
+
+
+def test_a_far_variable_id_is_refused_at_bounded_cost():
+    # Gaps in the variable ids are found by count and at most the first ten
+    # missing ids are named, so a huge id costs neither time nor memory.
+    start = time.perf_counter()
+    with pytest.raises(FgFormatError) as err:
+        parse_fg("1\n\n1\n1000000000\n2\n2\n0 1\n1 1\n")
+    assert time.perf_counter() - start < 1.0
+    assert len(str(err.value)) < 300
+    assert str(err.value).endswith(
+        "missing 1000000000 ids, the first ten [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]"
+    )
+    # Up to ten missing ids are all named.
+    with pytest.raises(FgFormatError) as err:
+        parse_fg("1\n\n2\n0 11\n2 2\n0\n")
+    assert str(err.value).endswith("missing [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]")
+
+
+def test_parse_holds_each_table_once():
+    # parse_fg hands its fresh table to Factor, which keeps it instead of
+    # copying it; the slack covers the nonnegativity mask (1/8 of the table).
+    tracemalloc.start()
+    try:
+        g = parse_fg("1\n\n2\n0 1\n1024 1024\n1\n5 2.5\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = g.factors[0].table
+    assert table.nbytes == 8 << 20 and table[5] == 2.5
+    assert peak < 1.25 * table.nbytes
+
+
+def test_factor_copies_a_writable_table():
+    arr = np.arange(4.0)
+    f = Factor(0, (0, 1), (2, 2), arr)
+    assert arr.flags.writeable and not np.shares_memory(arr, f.table)
+    arr[0] = 9.0
+    assert f.table.tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_tables_are_immutable():

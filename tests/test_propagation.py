@@ -469,17 +469,29 @@ def is_simplex(m):
     return type(m) is int
 
 
+def variable_keys(reg):
+    """The memo's variable keys ``(v, *kids)``, which lead with an int."""
+    return [key for key in reg.memo if type(key[0]) is int]
+
+
+def factor_keys(reg):
+    """The memo's factor keys ``(rule, fid, keep, *kids)``, which lead with a str."""
+    return [key for key in reg.memo if type(key[0]) is str]
+
+
 def test_memo_warm_equals_cold():
     rng = np.random.default_rng(21)
     for _ in range(12):
         g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=3)
         warm = all_root_bytes(g)
-        # A key names its children by the boxes the registry's memos sent.
+        # A key names its children by the boxes the registry's memo sent.
         reg = propagation._REGISTRIES[g]
-        sent = {id(box) for memo in (reg.var_memo, reg.factor_memo) for box in memo.values()}
-        kids = [key[1:] for key in reg.var_memo] + [key[3:] for key in reg.factor_memo]
+        sent = {id(box) for box in reg.memo.values()}
+        fkeys = factor_keys(reg)
+        kids = [key[1:] for key in variable_keys(reg)] + [key[3:] for key in fkeys]
+        assert len(kids) == len(reg.memo)
         assert all(is_simplex(m) or id(m) in sent for ms in kids for m in ms)
-        assert any(not is_simplex(m) for key in reg.factor_memo for m in key[3:])
+        assert any(not is_simplex(m) for key in fkeys for m in key[3:])
         assert warm == all_root_bytes(fresh_copy(g), clear=True)
 
 
@@ -505,14 +517,17 @@ def test_memo_keys_on_the_factor_rule():
     joint = message(g, narrow, JOINT)
     assert joint != message(g, narrow, FACTORIZED)
     assert message(g, wide, JOINT) == message(graph_from(tables), wide, JOINT) != joint
-    assert {key[0] for key in propagation._registry(g).factor_memo} == {JOINT, FACTORIZED}
-    # Sawtree and then subtree on one graph object match fresh copies.
-    g = graph_from(tables)
-    for method in ("sawtree", "subtree"):
-        for budget in (3, 6, 12, 200):
-            for r in range(g.num_variables):
-                fresh = graph_from(tables)
-                assert root_bytes(g, method, r, budget) == root_bytes(fresh, method, r, budget)
+    assert {key[0] for key in factor_keys(propagation._registry(g))} == {JOINT, FACTORIZED}
+    # Both methods on one graph object, sawtree first and subtree first, share
+    # its one memo and match fresh copies.
+    for methods in (("sawtree", "subtree"), ("subtree", "sawtree")):
+        g = graph_from(tables)
+        for method in methods:
+            for budget in (3, 6, 12, 200):
+                for r in range(g.num_variables):
+                    fresh = graph_from(tables)
+                    assert root_bytes(g, method, r, budget) == root_bytes(fresh, method, r, budget)
+        assert {key[0] for key in factor_keys(propagation._registry(g))} == {JOINT, FACTORIZED}
 
 
 def counting(monkeypatch, name):
@@ -539,10 +554,12 @@ def test_memo_misses_are_the_distinct_messages(monkeypatch):
     for r in range(g.num_variables):
         boxprop_sawtree(g, build_saw_tree(g, r, 5000))
     reg = propagation._REGISTRIES[g]
-    frontier = sum(all(map(is_simplex, key[3:])) for key in reg.factor_memo)
+    fkeys = factor_keys(reg)
+    frontier = sum(all(map(is_simplex, key[3:])) for key in fkeys)
     assert frontier == sum(len(f.scope) for f in g.factors) == 105
-    assert len(reg.factor_memo) == 3_369
-    assert len(reg.var_memo) == 3_264
+    assert len(fkeys) == 3_369
+    assert len(variable_keys(reg)) == 3_264
+    assert len(reg.memo) == 3_369 + 3_264
     assert calls[0] + frontier == 3_369
 
 
@@ -555,7 +572,7 @@ def test_variable_memo_multiplies_each_distinct_product_once(monkeypatch):
     # One call per root (the final belief) plus one per variable-memo entry
     # that multiplies children; a second round is all hits.
     reg = propagation._registry(g)
-    products = sum(1 for key in reg.var_memo if len(key) > 1)
+    products = sum(1 for key in variable_keys(reg) if len(key) > 1)
     assert products > 0
     assert calls[0] == n_roots + products
     all_root_bytes(g)
@@ -570,8 +587,8 @@ def test_memo_dies_with_the_graph_and_respects_the_cap(monkeypatch):
     bound = g.num_variables + g.num_factors
     gc.collect()
     before = len(propagation._REGISTRIES)
-    # A root that starts on a registry past the bound clears both memos in
-    # place: a marker entry put in each survives the root unless they were full.
+    # A root that starts on a registry past the bound clears its memo in
+    # place: a marker entry put in it survives the root unless it was full.
     out, clears = [], 0
     marker = ("marker",)
     for method, budget in (("sawtree", 400), ("subtree", 60)):
@@ -579,15 +596,13 @@ def test_memo_dies_with_the_graph_and_respects_the_cap(monkeypatch):
             reg = propagation._REGISTRIES.get(g)
             full = False
             if reg is not None:
-                reg.var_memo[marker] = reg.factor_memo[marker] = None
-                full = len(reg.var_memo) + len(reg.factor_memo) > bound
+                reg.memo[marker] = None
+                full = len(reg.memo) > bound
             out.append(root_bytes(g, method, r, budget))
             if reg is not None:
                 assert propagation._REGISTRIES[g] is reg
-                memos = (reg.var_memo, reg.factor_memo)
-                assert [marker in memo for memo in memos] == [not full] * 2
-                for memo in memos:
-                    memo.pop(marker, None)
+                assert (marker in reg.memo) == (not full)
+                reg.memo.pop(marker, None)
             clears += full
     assert out == uncapped
     assert clears > 0
@@ -610,14 +625,10 @@ def memo_bytes(reg):
     """Every memo entry with its key's boxes and its box as bytes.
 
     A set, not a count: the engine's frontier table gives both rules one box
-    object, so the variable memo holds one entry where the reference glue,
+    object, so the memo holds one variable entry where the reference glue,
     which computes a box per rule, holds two byte-equal ones.
     """
-    return {
-        (tuple(map(box_bytes, key)), box_bytes(box))
-        for memo in (reg.var_memo, reg.factor_memo)
-        for key, box in memo.items()
-    }
+    return {(tuple(map(box_bytes, key)), box_bytes(box)) for key, box in reg.memo.items()}
 
 
 def root_outcomes(g):
@@ -651,7 +662,7 @@ def glue_outcomes(monkeypatch, g):
     reg, ref = propagation._REGISTRIES[g], propagation._REGISTRIES[copy]
     memo = memo_bytes(reg)
     assert memo == memo_bytes(ref)
-    assert len(reg.factor_memo) == len(ref.factor_memo)
+    assert len(factor_keys(reg)) == len(factor_keys(ref))
     assert {key[0] for key, _ in memo} >= {JOINT, FACTORIZED}
     return engine
 
@@ -839,10 +850,8 @@ def test_engine_calls_each_traced_kernel_once_per_miss(monkeypatch):
                     roots += not vacuous
                     vacuous_seen += vacuous
         reg = propagation._REGISTRIES[g]
-        rules = Counter(
-            key[0] for key in reg.factor_memo if not all(map(is_simplex, key[3:]))
-        )
-        products = sum(len(key) > 1 for key in reg.var_memo)
+        rules = Counter(key[0] for key in factor_keys(reg) if not all(map(is_simplex, key[3:])))
+        products = sum(len(key) > 1 for key in variable_keys(reg))
         assert calls == Counter({
             "bound_sum_product_joint": rules[JOINT],
             "bound_sum_product": rules[FACTORIZED],
