@@ -14,4 +14,4 @@ class ZeroMeasureError(ValueError):
 
 
 class CapacityExceededError(RuntimeError):
-    """A computation would exceed a configured enumeration or size cap."""
+    """A computation would exceed a configured enumeration or size cap, or the floating-point range."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from math import isfinite, prod
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +37,8 @@ __all__ = [
 TABLE_CAP = 1 << 26
 # The most table entries ``validate`` stacks into one array; a larger table goes alone.
 STACK_ENTRIES = 1 << 16
+# About how many characters of ``.fg`` text ``parse_fg`` splits into lines at once.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +82,17 @@ class Factor:
     def table_nd(self) -> np.ndarray:
         """Table as an ndarray with one axis per scope variable, in scope order."""
         return self.table.reshape(self.sizes, order="F")
+
+    @cached_property
+    def matrices(self) -> dict[int, np.ndarray]:
+        """Per scope variable v, the read-only C-order (d_v, other states little-endian) table."""
+        mats, sizes = {}, self.sizes
+        for k, (v, d) in enumerate(zip(self.scope, sizes)):
+            # The flat table in C order is (states after v, d, states before v).
+            cube = self.table.reshape(-1, d, prod(sizes[:k])).transpose(1, 0, 2)
+            mats[v] = mat = np.ascontiguousarray(cube).reshape(d, -1)
+            mat.setflags(write=False)
+        return mats
 
 
 class FactorGraph:
@@ -209,12 +222,17 @@ def validate(g: FactorGraph) -> list[Violation]:
     return out
 
 
+def stacked_tables(fs: Sequence[Factor]) -> np.ndarray:
+    """One C-order copy of the tables of ``fs``, factors of one shape; slice j is table_nd()."""
+    sizes = fs[0].sizes
+    nd = np.stack([f.table for f in fs]).reshape((len(fs),) + sizes[::-1])
+    return nd.transpose((0,) + tuple(range(len(sizes), 0, -1)))
+
+
 def _check_stack(fs: list[Factor], found: dict[int, list[Violation]]) -> None:
     """Add to ``found`` the violations of factors ``fs``, which share their sizes."""
-    # One array of the tables, indexed after its first axis as by table_nd().
+    nd = stacked_tables(fs)
     n, k = len(fs), len(fs[0].sizes)
-    nd = np.concatenate([f.table for f in fs]).reshape((n,) + fs[0].sizes[::-1])
-    nd = nd.transpose((0,) + tuple(range(k, 0, -1)))
     finite = np.isfinite(nd).all(axis=tuple(range(1, k + 1)))
     # On finite nonnegative tables a sum is positive exactly when a summand is.
     positive = nd > 0.0
@@ -237,12 +255,23 @@ def _check_stack(fs: list[Factor], found: dict[int, list[Violation]]) -> None:
         ]
 
 
-def _content_lines(text: str) -> Iterable[tuple[int, str]]:
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each stripped line that is neither blank nor a comment, with its number.
+
+    The text is split about ``_CHUNK`` characters at a time, so the lines
+    held at once stay few however long the text is.
+    """
+    start = lineno = 0
+    while start <= len(text):
+        end = text.find("\n", start + _CHUNK)
+        if end < 0:
+            end = len(text)
+        for raw in text[start:end].split("\n"):
+            lineno += 1
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+        start = end + 1
 
 
 # Both number readers take only ASCII tokens without "_": ``int`` and ``float``
@@ -337,17 +366,18 @@ def parse_fg(text: str) -> FactorGraph:
         m = _parse_int(line, lineno, "entry count")
         if m < 0:
             raise FgFormatError(lineno, f"entry count must be >= 0, got {m}")
-        table = np.zeros(size, dtype=np.float64)
-        set_on: dict[int, int] = {}  # index -> the line that listed it
-        for lineno, line in islice(lines, m):
+        table, count_line, listed = np.zeros(size), lineno, 0
+        listed_at = bytearray(size)  # 1 where an entry was listed
+        for listed, (lineno, line) in enumerate(islice(lines, m), start=1):
             tokens = line.split()
             if len(tokens) != 2:
                 raise FgFormatError(lineno, f"expected 'index value', got {line!r}")
             idx = _parse_int(tokens[0], lineno, "table index")
             if not 0 <= idx < size:
                 raise FgFormatError(lineno, f"table index {idx} out of range [0, {size})")
-            first = set_on.setdefault(idx, lineno)
-            if first != lineno:
+            if listed_at[idx]:
+                first = next(n for n, entry in _content_lines(text)
+                             if n > count_line and int(entry.split()[0]) == idx)
                 raise FgFormatError(
                     lineno, f"table index {idx} repeated, first set on line {first}"
                 )
@@ -356,9 +386,10 @@ def parse_fg(text: str) -> FactorGraph:
                 raise FgFormatError(lineno, f"table value must be finite, got {value}")
             if value < 0.0:
                 raise FgFormatError(lineno, f"table value must be nonnegative, got {value}")
-            table[idx] = value
-        if len(set_on) < m:
+            table[idx], listed_at[idx] = value, 1
+        if listed < m:
             raise FgFormatError(lineno, "unexpected end of input, expected table entry")
+        del listed_at  # before Factor's nonnegativity mask, of the same size
         table.setflags(write=False)  # so that Factor keeps it instead of copying
         factors.append(Factor(fid, scope, sizes, table))
     for lineno, line in lines:

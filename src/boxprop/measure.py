@@ -15,15 +15,12 @@ messages per graph in one memo, keyed on the very boxes a message was computed
 from (at most ``MESSAGE_MEMO_CAP`` entries per graph node before the memo is
 cleared), so a memo hit is bit-identical to a recomputation. Every box the
 engine makes comes from ``Box._new(scope, sizes, lower, upper)``, which wraps
-two flat arrays without checks. The only state kept here: per factor, its
-table as one C-contiguous summed-out matrix per scope variable (all built on
-the factor's first use, each by one reshape, transpose and copy; the cache
-dies with the factor); and a read-only corner-selection bit table per number
-of free states (at most 20, one per count the cap allows; the table for ``f``
-free states is ``2**f * f`` bytes, at most 1/8 of the corner matrix built
-from it). A simplex's extreme points, the rows of ``np.eye(d)``, are made
-per call: the frontier table of ``boxprop.propagation`` serves most simplex
-children.
+two flat arrays without checks. The factor kernels read tables through
+:attr:`Factor.matrices`. The only state kept here is a read-only corner bit
+table per number ``f`` of free states (``f <= 20`` by the cap; ``2**f * f``
+bytes, at most 1/8 of the corner matrix built from it). A simplex's extreme
+points, the rows of ``np.eye(d)``, are made per call: the frontier table of
+``boxprop.propagation`` serves most simplex children.
 
 :func:`multiply` and :func:`marginalize_out` (the exact oracles' algebra)
 work on reshaped views of flat values: one IEEE product per entry, and one
@@ -40,7 +37,6 @@ from dataclasses import dataclass
 from functools import cache
 from math import prod
 from typing import Iterable, Mapping, Sequence, Union
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -320,26 +316,6 @@ def _bounding_box_of_normalized(
     return Box._new(scope, sizes, np.minimum.reduce(norm, axis=1), np.maximum.reduce(norm, axis=1))
 
 
-_SUMMED_MATRICES: "WeakKeyDictionary[Factor, dict[int, np.ndarray]]" = WeakKeyDictionary()
-
-
-def _summed_out_matrix(factor: Factor, keep: int) -> np.ndarray:
-    """Factor table as a C-contiguous (d_keep, other_states) matrix, cached per factor.
-
-    Columns follow little-endian order over the non-keep scope variables. A
-    factor's first call builds the matrix of each of its variables.
-    """
-    mats = _SUMMED_MATRICES.get(factor)
-    if mats is None:
-        mats, table, sizes = {}, factor.table, factor.sizes
-        for k, (v, d) in enumerate(zip(factor.scope, sizes)):
-            # The flat table in C order is (states after v, d, states before v).
-            cube = table.reshape(-1, d, prod(sizes[:k])).transpose(1, 0, 2)
-            mats[v] = np.ascontiguousarray(cube).reshape(d, -1)
-        _SUMMED_MATRICES[factor] = mats
-    return mats[keep]
-
-
 def _check_single_var(ms: MessageSet, var: int) -> None:
     if isinstance(ms, Simplex):
         if ms.var != var:
@@ -378,7 +354,7 @@ def bound_sum_product(
         point_mats.append(mat)
     d_keep = factor.sizes[factor.scope.index(keep)]
     if len(point_mats) == 1:
-        images = _summed_out_matrix(factor, keep) @ point_mats[0].T
+        images = factor.matrices[keep] @ point_mats[0].T
     else:
         kpos = factor.scope.index(keep)
         cur = np.moveaxis(factor.table_nd(), kpos, 0)
@@ -402,7 +378,7 @@ def bound_sum_product_joint(factor: Factor, keep: int, incoming_joint: Box) -> B
     if incoming_joint.scope != others:
         raise ValueError(f"joint box scope {incoming_joint.scope} must be {others}")
     corners = box_corner_matrix(incoming_joint)
-    images = _summed_out_matrix(factor, keep) @ corners.T
+    images = factor.matrices[keep] @ corners.T
     d_keep = factor.sizes[factor.scope.index(keep)]
     return _bounding_box_of_normalized(images, (keep,), (d_keep,))
 
@@ -411,10 +387,10 @@ def frontier_boxes(factors: Iterable[Factor]) -> dict[tuple[int, int], Box]:
     """Each ``(factor id, keep)``'s box when every other scope variable sends a simplex.
 
     The box is the smallest one around the normalized columns of the pair's
-    summed-out matrix, with the bytes of :func:`bound_sum_product` on simplex
-    children (images ``S @ I``, which is ``S``). Every normalized image of a
-    corner of the [0,1] box on the other variables is a convex combination of
-    those columns, so it is also the exact box of
+    matrix in :attr:`Factor.matrices`, with the bytes of :func:`bound_sum_product`
+    on simplex children (images ``S @ I``, which is ``S``). Every normalized
+    image of a corner of the [0,1] box on the other variables is a convex
+    combination of those columns, so it is also the exact box of
     :func:`bound_sum_product_joint` on that box, and no corner is enumerated.
     Matrices of one shape are stacked and bounded together. Pairs with a zero
     column or more than ``ENUMERATION_CAP`` columns are left out.
@@ -427,7 +403,7 @@ def frontier_boxes(factors: Iterable[Factor]) -> dict[tuple[int, int], Box]:
     for (d, k), pairs in groups.items():
         if k > ENUMERATION_CAP:
             continue
-        mats = np.stack([_summed_out_matrix(f, v) for f, v in pairs])
+        mats = np.stack([f.matrices[v] for f, v in pairs])
         z = np.add.reduce(mats, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):  # zero columns: left out below
             norm = mats / z[:, None, :]

@@ -61,7 +61,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .errors import CapacityExceededError, ZeroMeasureError
-from .factorgraph import TABLE_CAP, FactorGraph
+from .factorgraph import TABLE_CAP, FactorGraph, stacked_tables
 from .measure import (
     Box,
     Measure,
@@ -115,9 +115,8 @@ class _Registry:
     leading ``str`` keeps the two kinds apart, and its children follow the
     factor's other scope variables in ascending order. Bipartite node ``i`` is
     variable ``i``, or factor ``i - num_variables``; ``nbrs[i]`` lists its
-    neighbours in ascending id order; ``bit[i]`` is ``1 << i`` for walk masks
-    (``N**2 / 16`` bytes for ``N`` nodes). ``frontier`` maps ``(fid, keep)``
-    to the message both rules send when every child is a simplex.
+    neighbours in ascending id order. ``frontier`` maps ``(fid, keep)`` to the
+    message both rules send when every child is a simplex.
     """
 
     def __init__(self, g: FactorGraph):
@@ -128,7 +127,6 @@ class _Registry:
         self.nbrs: tuple[tuple[int, ...], ...] = tuple(
             tuple(n + fid for fid in g.var_factors(v)) for v in range(n)
         ) + tuple(tuple(sorted(f.scope)) for f in g.factors)
-        self.bit = [1 << i for i in range(len(self.nbrs))]
 
     @cached_property
     def frontier(self) -> dict[tuple[int, int], Box]:
@@ -304,11 +302,13 @@ def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     markers, which later propagate the loosest possible message. The tree's
     lists are the queue: walks are expanded in the order they were appended.
     """
-    reg = _builder_registry(g, root, max_nodes)
-    nbrs, bit = reg.nbrs, reg.bit
+    nbrs = _builder_registry(g, root, max_nodes).nbrs
     end, prev, kind, first = [root], [-1], [_ROOT], []
-    # Each walk's node set as a bitmask over bipartite ids.
-    on_walk = [bit[root]]
+    # Each walk's node set as a bitmask; a node gets its bit at its first
+    # visit (the root 1, then 2, 4, ...), so masks grow with the tree only.
+    bit = [0] * len(nbrs)
+    bit[root] = top = 1
+    on_walk = [1]
     count = 1
     for i, u in enumerate(end):
         start = len(end)
@@ -319,12 +319,15 @@ def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
         for w in nbrs[u]:
             if w == p:
                 continue
+            b = bit[w]
+            if not b:
+                bit[w] = b = top = top << 1
             end.append(w)
             prev.append(u)
-            on_walk.append(mask | bit[w])
+            on_walk.append(mask | b)
             if count < max_nodes:
                 count += 1
-                kind.append(_CYCLE if mask & bit[w] else _INNER)
+                kind.append(_CYCLE if mask & b else _INNER)
             else:
                 kind.append(_TRUNCATED)
         if i and len(end) == start:
@@ -500,9 +503,7 @@ def bp_marginals(
     plan = []
     for sizes, fs in by_sizes.items():
         k, n = len(sizes), len(fs)
-        # The flat tables read in Fortran order: each slice has table_nd()'s strides.
-        nd = np.stack([f.table for f in fs]).reshape((n,) + sizes[::-1])
-        nd = nd.transpose((0,) + tuple(range(k, 0, -1)))
+        nd = stacked_tables(fs)
         slots = np.array([[slot[(f.id, v)] for v in f.scope] for f in fs], dtype=np.intp).T
         if k == 1:
             raw[sizes[0]][slots[0]] = nd
@@ -632,7 +633,10 @@ def _brute_marginals(g: FactorGraph) -> list[Measure]:
 
 def _marginal(m: Measure, v: int) -> Measure:
     """Variable ``v``'s marginal ``m``, normalized; zero mass means a zero joint measure."""
-    if not m.values.sum() > 0.0:
+    z = m.values.sum()
+    if not np.isfinite(z):
+        raise CapacityExceededError(f"the marginal of variable {v} left the floating-point range")
+    if not z > 0.0:
         raise ZeroMeasureError(f"every joint assignment has weight zero, so the marginal of "
                                f"variable {v} has zero mass")
     return normalize(m)
@@ -689,6 +693,9 @@ def _bucket_tree_marginals(g: FactorGraph, order: list[int]) -> list[Measure]:
 
     Every variable lies in some factor, so every bucket gets a factor or a
     child's message: a variable stays in each message until its own bucket.
+    An overflow or invalid value raises :class:`CapacityExceededError` naming
+    the bucket's variable, as does a zero marginal entry when every table is
+    positive, which only underflow makes.
     """
     n = g.num_variables
     earliest = {v: k for k, v in enumerate(order)}.__getitem__
@@ -701,34 +708,46 @@ def _bucket_tree_marginals(g: FactorGraph, order: list[int]) -> list[Measure]:
     children: list[list[int]] = [[] for _ in range(n)]
     up: list[Measure | None] = [None] * n
     down: list[Measure | None] = [None] * n
-    for v in order:
-        for t in bucket[v]:
-            local[v] = _times(local[v], t)
-        clique = local[v]
-        for c in children[v]:
-            clique = _times(clique, up[c])
-        msg = marginalize_out(clique, {v})
-        if msg.scope:
-            up[v] = _scaled(msg)
-            children[min(msg.scope, key=earliest)].append(v)
     out: list = [None] * n
-    for v in reversed(order):
-        kids = children[v]
-        # prefix[j]: the bucket's factors and parent message times the first j
-        # children's messages; suffix[j]: the messages of children j + 1 on.
-        prefix = [_times(local[v], down[v])]
-        for c in kids:
-            prefix.append(_times(prefix[-1], up[c]))
-        suffix: list[Measure | None] = [None]
-        for c in reversed(kids[1:]):
-            suffix.append(_times(up[c], suffix[-1]))
-        suffix.reverse()
-        total = prefix[-1]
-        out[v] = _marginal(marginalize_out(total, set(total.scope) - {v}), v)
-        for j, c in enumerate(kids):
-            rest = _times(prefix[j], suffix[j])
-            if rest is not None:
-                down[c] = _scaled(marginalize_out(rest, set(rest.scope) - set(up[c].scope)))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for v in order:
+                for t in bucket[v]:
+                    local[v] = _times(local[v], t)
+                clique = local[v]
+                for c in children[v]:
+                    clique = _times(clique, up[c])
+                msg = marginalize_out(clique, {v})
+                if msg.scope:
+                    up[v] = _scaled(msg)
+                    children[min(msg.scope, key=earliest)].append(v)
+            for v in reversed(order):
+                kids = children[v]
+                # prefix[j]: the bucket's factors and parent message times the first j
+                # children's messages; suffix[j]: the messages of children j + 1 on.
+                prefix = [_times(local[v], down[v])]
+                for c in kids:
+                    prefix.append(_times(prefix[-1], up[c]))
+                suffix: list[Measure | None] = [None]
+                for c in reversed(kids[1:]):
+                    suffix.append(_times(up[c], suffix[-1]))
+                suffix.reverse()
+                total = prefix[-1]
+                out[v] = _marginal(marginalize_out(total, set(total.scope) - {v}), v)
+                for j, c in enumerate(kids):
+                    rest = _times(prefix[j], suffix[j])
+                    if rest is not None:
+                        keep = set(rest.scope) - set(up[c].scope)
+                        down[c] = _scaled(marginalize_out(rest, keep))
+            for v in range(n):
+                if not out[v].values.all():
+                    if all(f.table.all() for f in g.factors):
+                        raise FloatingPointError("underflow")
+                    break
+    except FloatingPointError:
+        raise CapacityExceededError(
+            f"variable elimination left the floating-point range at the bucket of variable {v}"
+        ) from None
     return out
 
 

@@ -480,11 +480,10 @@ def reference_build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTre
         raise ValueError("max_nodes must be >= 1")
     if not 0 <= root < g.num_variables:
         raise ValueError(f"root {root} is not a variable of the graph")
-    reg = _registry(g)
-    nbrs, bit = reg.nbrs, reg.bit
+    nbrs = _registry(g).nbrs
     end, prev, kind, first = [root], [-1], [_ROOT], []
     # The tree's node set as one bitmask over bipartite ids.
-    in_tree = bit[root]
+    in_tree = 1 << root
     count = 1
     for i, u in enumerate(end):
         start = len(end)
@@ -497,9 +496,9 @@ def reference_build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTre
                 continue
             end.append(w)
             prev.append(u)
-            if count < max_nodes and not in_tree & bit[w]:
+            if count < max_nodes and not in_tree >> w & 1:
                 count += 1
-                in_tree |= bit[w]
+                in_tree |= 1 << w
                 kind.append(_INNER)
             else:
                 kind.append(_TRUNCATED)

@@ -266,6 +266,28 @@ def test_damped_bp_and_compare_exit_2_on_a_zero_joint_measure(tmp_path, capsys, 
     assert not recwarn.list
 
 
+def test_varelim_past_the_floating_point_range_exits_2_and_compare_skips_bp(
+    tmp_path, capsys, recwarn
+):
+    path = tmp_path / "t150.fg"
+    code, _, _ = run(
+        capsys, "gen", "grid", "--rows", "5", "--cols", "5", "--domain", "3",
+        "--beta", "150", "--seed", "42", "--out", str(path),
+    )
+    assert code == 0
+    error = "variable elimination left the floating-point range at the bucket of variable 12"
+    code, out, err = run(capsys, "exact", "--engine", "varelim", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[1:] == [f"error: {error}"]
+    code, out, err = run(
+        capsys, "compare", "--in", str(path), "--methods", "subtree", "--max-nodes", "50", "--bp"
+    )
+    assert code == 0
+    assert err.splitlines()[1:] == [f"warning: skipped the bp rows: exact marginals: {error}"]
+    assert ",bp," not in out
+    assert not recwarn.list
+
+
 def test_compare_writes_files(triangle_file, tmp_path, capsys):
     summary = tmp_path / "summary.csv"
     details = tmp_path / "details.jsonl"

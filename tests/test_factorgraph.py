@@ -415,6 +415,35 @@ def test_parse_holds_each_table_once():
     assert peak < 1.25 * table.nbytes
 
 
+def test_parse_holds_a_fully_listed_table_about_once():
+    # Lines are cut one at a time and repeats are found in the table itself,
+    # so no list of lines or dict of listed indices grows with the block.
+    n = 512 * 512
+    text = "1\n\n2\n0 1\n512 512\n%d\n" % n + "".join(f"{i} {i % 7 + 0.5}\n" for i in range(n))
+    tracemalloc.start()
+    try:
+        g = parse_fg(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = g.factors[0].table
+    assert table.nbytes == 2 << 20 and table[n - 1] == (n - 1) % 7 + 0.5
+    assert peak < 2 * table.nbytes
+
+
+def test_stacked_table_slices_have_the_table_nd_strides():
+    # BP's stacked contractions make the same BLAS calls as a per-edge loop
+    # only if every slice is strided as Factor.table_nd() is.
+    rng = np.random.default_rng(2207)
+    for sizes in [(3,), (2, 3), (3, 2, 4)]:
+        scope = tuple(range(len(sizes)))
+        fs = [Factor(j, scope, sizes, rng.uniform(0.0, 2.0, np.prod(sizes))) for j in range(4)]
+        nd = factorgraph.stacked_tables(fs)
+        for j, f in enumerate(fs):
+            assert nd[j].strides == f.table_nd().strides
+            assert np.array_equal(nd[j], f.table_nd())
+
+
 def test_factor_copies_a_writable_table():
     arr = np.arange(4.0)
     f = Factor(0, (0, 1), (2, 2), arr)

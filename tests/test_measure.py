@@ -545,8 +545,8 @@ def test_summed_out_matrices_match_the_reference():
             sizes = tuple(int(d) for d in rng.integers(2, 4, arity))
             f = Factor(0, scope, sizes, rng.uniform(0.0, 2.0, int(np.prod(sizes))))
             for keep in rng.permutation(scope):
-                mat = measure._summed_out_matrix(f, int(keep))
-                assert mat.flags.c_contiguous
+                mat = f.matrices[int(keep)]
+                assert mat.flags.c_contiguous and not mat.flags.writeable
                 assert (mat.shape, mat.tobytes()) == outcome(reference_summed_out_matrix, f, int(keep))
 
 

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from collections import Counter
 from math import prod
@@ -20,7 +21,7 @@ from boxprop.propagation import (
     build_subtree,
     exact_marginals,
 )
-from boxprop.bench import GridSpec, gap, gen_ising_grid, gen_ternary_grid, run_method
+from boxprop.bench import GridSpec, compare, gap, gen_ising_grid, gen_ternary_grid, run_method
 from helpers import (
     WIDE_FACTOR_FG,
     box_contains,
@@ -213,6 +214,20 @@ def test_saw_tree_budget_one():
     assert tree.node_count == 1
     assert tree.root_node.kind == "root"
     assert [c.kind for c in tree.root_node.children] == ["truncated", "truncated"]
+
+
+def test_first_saw_tree_build_on_a_large_grid_stays_small():
+    # Walk masks take a bit per node the tree reaches, not per graph node: a
+    # table of ``1 << i`` for all 39,800 bipartite nodes alone held ~100 MB.
+    g = gen_ising_grid(GridSpec(100, 100, 2, 1.0, 1))
+    tracemalloc.start()
+    try:
+        tree = build_saw_tree(g, 0, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.node_count == 50
+    assert peak < 16 * 2**20
 
 
 def test_builders_reject_a_root_outside_the_graph():
@@ -1132,6 +1147,28 @@ def test_varelim_survives_strong_couplings():
     for v, m in enumerate(exact):
         assert np.isfinite(m.values).all()
         assert box_contains(boxprop_subtree(g, build_subtree(g, v, 50)).box, m.values, 1e-9)
+
+
+@pytest.mark.parametrize("make, domain, var", [(gen_ternary_grid, 3, 12), (gen_ising_grid, 2, 7)])
+def test_varelim_refuses_a_grid_past_the_floating_point_range(make, domain, var, recwarn):
+    # At beta 150 the ternary grid's buckets overflow, and the binary grid's
+    # marginal of variable 7 underflows to [0, 1] though every table is positive.
+    g = make(GridSpec(5, 5, domain, 150.0, 42))
+    assert validate(g) == []
+    message = f"^variable elimination left the floating-point range at the bucket of variable {var}$"
+    with pytest.raises(CapacityExceededError, match=message):
+        exact_marginals(g, "varelim")
+    result = compare(g, {"subtree": 50})
+    assert result.exact is None and result.exact_error == message[1:-1]
+    assert not recwarn.list
+
+
+def test_brute_marginals_tell_overflow_from_zero_mass():
+    g = graph_from([((0, 1), (2, 2), np.full(4, 1e300)), ((0,), (2,), (1e300, 1e300))])
+    with np.errstate(over="ignore"), pytest.raises(
+        CapacityExceededError, match="^the marginal of variable 0 left the floating-point range$"
+    ):
+        exact_marginals(g, "brute")
 
 
 def test_elimination_order_matches_the_full_rescan():
