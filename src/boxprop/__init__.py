@@ -25,14 +25,10 @@ from .measure import (
     bound_sum_product_joint,
     box_product_disjoint_sbb,
     box_product_same_scope,
-    marginalize_out,
-    multiply,
-    normalize,
 )
 from .propagation import (
     BoundResult,
     BpResult,
-    SawNode,
     SawTree,
     bp_marginals,
     boxprop_sawtree,

@@ -22,9 +22,8 @@ bytes, at most 1/8 of the corner matrix built from it). A simplex's extreme
 points, the rows of ``np.eye(d)``, are made per call: the frontier table of
 ``boxprop.propagation`` serves most simplex children.
 
-:func:`multiply` and :func:`marginalize_out` (the exact oracles' algebra)
-work on reshaped views of flat values: one IEEE product per entry, and one
-``np.add.reduce`` over the Fortran-order view per sum.
+This module holds what the bound engine calls. The exact oracles' products
+and sums of dense tables live beside them in ``boxprop.propagation``.
 
 Extreme-point enumeration is exponential in the number of free states, so
 every enumerating operation is capped at ``ENUMERATION_CAP`` combinations and
@@ -49,9 +48,6 @@ __all__ = [
     "Box",
     "Simplex",
     "MessageSet",
-    "normalize",
-    "multiply",
-    "marginalize_out",
     "box_corner_matrix",
     "box_product_same_scope",
     "box_product_disjoint_sbb",
@@ -95,10 +91,6 @@ class Measure:
             raise ValueError("measure values must be finite")
         self.values = values
 
-    def nd(self) -> np.ndarray:
-        """View with one axis per scope variable, in scope order."""
-        return self.values.reshape(self.sizes, order="F")
-
     @classmethod
     def _new(cls, scope: tuple[int, ...], sizes: tuple[int, ...], values: np.ndarray):
         # Internal fast path: callers guarantee the invariants already hold.
@@ -107,56 +99,6 @@ class Measure:
         m.sizes = sizes
         m.values = values
         return m
-
-
-def normalize(m: Measure) -> Measure:
-    """Rescale to total mass 1; raises :class:`ZeroMeasureError` on zero mass."""
-    z = m.values.sum()
-    if not z > 0.0:
-        raise ZeroMeasureError("cannot normalize a zero measure")
-    return Measure._new(m.scope, m.sizes, m.values / z)
-
-
-def multiply(a: Measure, b: Measure) -> Measure:
-    """Pointwise product under the natural embedding into the union scope.
-
-    The result scope is ``a``'s scope followed by ``b``'s new variables, in
-    order. Shared variables must agree on domain size. ``a``'s values get unit
-    axes for the new variables; ``b``'s axes are put in result order.
-    """
-    scope, sizes = a.scope, a.sizes
-    at = []  # result axis of each of b's variables
-    for v, d in zip(b.scope, b.sizes):
-        if v in scope:
-            k = scope.index(v)
-            if sizes[k] != d:
-                raise ValueError(f"domain mismatch for variable {v}")
-        else:
-            k = len(scope)
-            scope += (v,)
-            sizes += (d,)
-        at.append(k)
-    shape = [1] * len(scope)
-    for k, d in zip(at, b.sizes):
-        shape[k] = d
-    bn = b.nd().transpose(sorted(range(len(at)), key=at.__getitem__)).reshape(shape)
-    an = a.values.reshape(a.sizes + (1,) * (len(scope) - len(a.scope)), order="F")
-    return Measure._new(scope, sizes, (an * bn).ravel(order="F"))
-
-
-def marginalize_out(m: Measure, drop: Iterable[int]) -> Measure:
-    """Sum over the dropped variables; survivor order is preserved."""
-    drop = set(drop)
-    unknown = drop - set(m.scope)
-    if unknown:
-        raise ValueError(f"cannot marginalize unknown variables {sorted(unknown)}")
-    if not drop:
-        return Measure._new(m.scope, m.sizes, m.values.copy())
-    axes = tuple(k for k, v in enumerate(m.scope) if v in drop)
-    summed = np.add.reduce(m.nd(), axis=axes)
-    scope = tuple(v for v in m.scope if v not in drop)
-    sizes = tuple(d for v, d in zip(m.scope, m.sizes) if v not in drop)
-    return Measure._new(scope, sizes, summed.ravel(order="F"))
 
 
 @dataclass(eq=False, slots=True)
@@ -284,8 +226,9 @@ def box_product_disjoint_sbb(boxes: Sequence[Box]) -> Box:
         return Box._new((), (), ones, ones)
     if len(boxes) == 1:
         return boxes[0]
-    # Flat outer products, each entry one product taken in the same order as
-    # ``multiply`` would take it (IEEE products commute), so the bytes match.
+    # Flat outer products: each entry multiplies the operands' entries left to
+    # right (IEEE products commute), as aligned tables multiplied in operand
+    # order would, so the bytes match.
     lower, upper = boxes[0].lower.values, boxes[0].upper.values
     for b in boxes[1:]:
         lower = np.multiply.outer(b.lower.values, lower).ravel()

@@ -11,11 +11,13 @@ Loopy BP and two exact-inference engines (brute-force enumeration and variable
 elimination) are included as oracles for checking those containment claims.
 Variable elimination gives every marginal from one upward and one downward
 pass over the bucket tree of a greedy elimination order, one message each way
-per tree edge. BP holds its messages in one ``(edges, d)`` array per domain
-size and direction, contracts all edges of one table shape and position
-together (one stacked matrix product per contraction and sweep), and returns
-the same bytes as a plain per-edge loop would. See :func:`exact_marginals`
-and :func:`bp_marginals`, whose defaults are ``BP_TOL``, ``BP_MAX_ITER`` and
+per tree edge. The oracles' products and sums of dense tables are private
+helpers here, and both oracles refuse a table that leaves the floating-point
+range. BP holds its messages in one ``(edges, d)`` array per domain size and
+direction, contracts all edges of one table shape and position together (one
+stacked matrix product per contraction and sweep), and returns the same bytes
+as a plain per-edge loop would. See :func:`exact_marginals` and
+:func:`bp_marginals`, whose defaults are ``BP_TOL``, ``BP_MAX_ITER`` and
 ``BP_DAMPING``, the defaults of ``boxprop bp`` too.
 
 Both methods are one engine, a method being a pair of a walk-tree builder and
@@ -24,9 +26,9 @@ endpoints, kind codes and child-range starts in breadth-first order, so one
 reverse loop over them sends every message. Each method has one builder: the
 walk-tree method propagates :func:`build_saw_tree`'s tree with the joint rule,
 the subtree method :func:`build_subtree`'s with the factorized rule. The
-linked :class:`SawNode` view (``SawTree.root_node``) holds only each walk's
-kind and children, is built on first access, and is read by the benchmark
-tracer's walk counts, never by the engine.
+linked ``SawNode`` view (``SawTree.root_node``, not exported) holds only each
+walk's kind and children, is built on first access, and is read by the
+benchmark tracer's walk counts, never by the engine.
 
 A message is the int ``v``, standing for the simplex on variable ``v``, or a
 :class:`Box`. One memo, keyed on a variable and its children's messages or on
@@ -72,15 +74,11 @@ from .measure import (
     box_product_same_scope,
     frontier_boxes,
     full_box,
-    marginalize_out,
-    multiply,
-    normalize,
     normalized_corner_box,
     unit_box,
 )
 
 __all__ = [
-    "SawNode",
     "SawTree",
     "BoundResult",
     "BpResult",
@@ -169,7 +167,9 @@ def _factor_message(
     its corners; the ``FACTORIZED`` rule enumerates each set's extreme points
     separately. With simplices only, both rules send the factorized box, as
     the joint corner images are convex combinations of the factor's columns;
-    the frontier table holds most.
+    the frontier table holds most. With one child, both rules compute
+    ``f.matrices[keep] @ corners.T`` from the same corner matrix, so they send
+    the same bytes.
     """
     f = reg.factors[fid]
     others = [v for v in f.scope if v != keep]
@@ -596,8 +596,9 @@ def exact_marginals(g: FactorGraph, engine: str = "brute") -> list[Measure]:
     ``varelim`` runs bucket-tree elimination (Kask, Dechter, Larrosa and
     Dechter 2005) along a greedy min-weight order, with every clique capped at
     ``VARELIM_BUCKET_CAP`` entries. Both raise :class:`CapacityExceededError`
-    past their caps, and :class:`ZeroMeasureError` naming a variable when
-    every joint assignment has weight zero (``validate`` allows that).
+    past their caps or the floating-point range, and :class:`ZeroMeasureError`
+    naming a variable when every joint assignment has weight zero
+    (``validate`` allows that).
 
     Each factor goes into the bucket of its earliest-eliminated variable. An
     upward pass along the order multiplies each bucket's factors and its
@@ -620,26 +621,36 @@ def exact_marginals(g: FactorGraph, engine: str = "brute") -> list[Measure]:
 
 
 def _brute_marginals(g: FactorGraph) -> list[Measure]:
+    """All marginals from the joint table, refused if it leaves the floating-point range."""
     total = prod(g.sizes)
     if total > TABLE_CAP:
         raise CapacityExceededError(
             f"joint distribution has {total} states, above the cap of {TABLE_CAP}"
         )
-    joint = Measure((), (), np.ones(1))
-    for f in g.factors:
-        joint = multiply(joint, Measure(f.scope, f.sizes, f.table))
-    return [_marginal(marginalize_out(joint, set(joint.scope) - {i}), i) for i in range(len(g.sizes))]
+    joint, out = Measure._new((), (), np.ones(1)), []
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for f in g.factors:
+                at = f"factor {f.id}"
+                joint = _multiply(joint, Measure(f.scope, f.sizes, f.table))
+            for v in range(g.num_variables):
+                at = f"the marginal of variable {v}"
+                out.append(_marginal(joint, v))
+    except FloatingPointError:
+        raise CapacityExceededError(f"brute force left the floating-point range at {at}") from None
+    return out
 
 
 def _marginal(m: Measure, v: int) -> Measure:
-    """Variable ``v``'s marginal ``m``, normalized; zero mass means a zero joint measure."""
+    """Variable ``v``'s normalized marginal of ``m``; zero mass means a zero joint measure."""
+    m = _marginalize_out(m, set(m.scope) - {v})
     z = m.values.sum()
     if not np.isfinite(z):
         raise CapacityExceededError(f"the marginal of variable {v} left the floating-point range")
     if not z > 0.0:
         raise ZeroMeasureError(f"every joint assignment has weight zero, so the marginal of "
                                f"variable {v} has zero mass")
-    return normalize(m)
+    return Measure._new(m.scope, m.sizes, m.values / z)
 
 
 def _elimination_order(g: FactorGraph) -> list[int]:
@@ -717,7 +728,7 @@ def _bucket_tree_marginals(g: FactorGraph, order: list[int]) -> list[Measure]:
                 clique = local[v]
                 for c in children[v]:
                     clique = _times(clique, up[c])
-                msg = marginalize_out(clique, {v})
+                msg = _marginalize_out(clique, {v})
                 if msg.scope:
                     up[v] = _scaled(msg)
                     children[min(msg.scope, key=earliest)].append(v)
@@ -732,13 +743,12 @@ def _bucket_tree_marginals(g: FactorGraph, order: list[int]) -> list[Measure]:
                 for c in reversed(kids[1:]):
                     suffix.append(_times(up[c], suffix[-1]))
                 suffix.reverse()
-                total = prefix[-1]
-                out[v] = _marginal(marginalize_out(total, set(total.scope) - {v}), v)
+                out[v] = _marginal(prefix[-1], v)
                 for j, c in enumerate(kids):
                     rest = _times(prefix[j], suffix[j])
                     if rest is not None:
-                        keep = set(rest.scope) - set(up[c].scope)
-                        down[c] = _scaled(marginalize_out(rest, keep))
+                        drop = set(rest.scope) - set(up[c].scope)
+                        down[c] = _scaled(_marginalize_out(rest, drop))
             for v in range(n):
                 if not out[v].values.all():
                     if all(f.table.all() for f in g.factors):
@@ -751,12 +761,42 @@ def _bucket_tree_marginals(g: FactorGraph, order: list[int]) -> list[Measure]:
     return out
 
 
+def _multiply(a: Measure, b: Measure) -> Measure:
+    """Pointwise product on the union scope: ``a``'s, then ``b``'s new variables.
+
+    ``a``'s values get unit axes for the new variables and ``b``'s axes are
+    put in result order, so each entry is one IEEE product.
+    """
+    scope, sizes = a.scope, a.sizes
+    at = []  # result axis of each of b's variables
+    for v, d in zip(b.scope, b.sizes):
+        if v not in scope:
+            scope += (v,)
+            sizes += (d,)
+        at.append(scope.index(v))
+    shape = [1] * len(scope)
+    for k, d in zip(at, b.sizes):
+        shape[k] = d
+    bn = b.values.reshape(b.sizes, order="F").transpose(sorted(range(len(at)), key=at.__getitem__))
+    an = a.values.reshape(a.sizes + (1,) * (len(scope) - len(a.scope)), order="F")
+    return Measure._new(scope, sizes, (an * bn.reshape(shape)).ravel(order="F"))
+
+
+def _marginalize_out(m: Measure, drop: set[int]) -> Measure:
+    """Sum over the dropped variables, one ``np.add.reduce`` over the Fortran-order view."""
+    axes = tuple(k for k, v in enumerate(m.scope) if v in drop)
+    summed = np.add.reduce(m.values.reshape(m.sizes, order="F"), axis=axes)
+    scope = tuple(v for v in m.scope if v not in drop)
+    sizes = tuple(d for v, d in zip(m.scope, m.sizes) if v not in drop)
+    return Measure._new(scope, sizes, summed.ravel(order="F"))
+
+
 def _scaled(m: Measure) -> Measure:
     """``m`` times the power of two that brings its largest entry into [0.5, 1).
 
     Messages stay bounded however strong the couplings, so their products do
     not overflow. A power-of-two scaling is exact and cancels in the final
-    ``normalize``: without overflow or underflow the marginals keep their bytes.
+    normalization: without overflow or underflow the marginals keep their bytes.
     """
     _, e = frexp(np.maximum.reduce(m.values))
     return Measure._new(m.scope, m.sizes, np.ldexp(m.values, -e))
@@ -768,4 +808,4 @@ def _times(a: Measure | None, b: Measure | None) -> Measure | None:
         return b
     if b is None:
         return a
-    return multiply(a, b)
+    return _multiply(a, b)

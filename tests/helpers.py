@@ -244,7 +244,7 @@ def _reference_aligned(m: Measure, scope: tuple[int, ...]) -> np.ndarray:
     """ndarray with axes following ``scope``, singleton where a variable is absent."""
     present = [v for v in scope if v in m.scope]
     perm = [m.scope.index(v) for v in present]
-    nd = m.nd().transpose(perm)
+    nd = m.values.reshape(m.sizes, order="F").transpose(perm)
     missing = tuple(k for k, v in enumerate(scope) if v not in m.scope)
     return np.expand_dims(nd, axis=missing) if missing else nd
 
@@ -253,7 +253,7 @@ def reference_multiply(a: Measure, b: Measure) -> Measure:
     """The pointwise product by aligning both operands to the union scope.
 
     The result scope is ``a``'s followed by ``b``'s new variables; each entry
-    is one product, so ``measure.multiply`` must give the same bytes.
+    is one product, so ``propagation._multiply`` must give the same bytes.
     """
     for v, d in zip(b.scope, b.sizes):
         if v in a.scope and a.sizes[a.scope.index(v)] != d:
@@ -268,7 +268,7 @@ def reference_multiply(a: Measure, b: Measure) -> Measure:
 def reference_marginalize_out(m: Measure, drop) -> Measure:
     """Sum over ``drop`` with ``ndarray.sum`` on the F-order view of ``m``.
 
-    ``measure.marginalize_out`` sums the same view and must give the same bytes.
+    ``propagation._marginalize_out`` sums the same view and must give the same bytes.
     """
     drop = set(drop)
     unknown = drop - set(m.scope)
@@ -278,7 +278,7 @@ def reference_marginalize_out(m: Measure, drop) -> Measure:
         return Measure._new(m.scope, m.sizes, m.values.copy())
     axes = tuple(k for k, v in enumerate(m.scope) if v in drop)
     keep = tuple(k for k, v in enumerate(m.scope) if v not in drop)
-    summed = m.nd().sum(axis=axes)
+    summed = m.values.reshape(m.sizes, order="F").sum(axis=axes)
     scope = tuple(m.scope[k] for k in keep)
     sizes = tuple(m.sizes[k] for k in keep)
     return Measure._new(scope, sizes, np.ravel(summed, order="F"))

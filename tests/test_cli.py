@@ -288,6 +288,17 @@ def test_varelim_past_the_floating_point_range_exits_2_and_compare_skips_bp(
     assert not recwarn.list
 
 
+def test_brute_past_the_floating_point_range_exits_2_without_a_warning(tmp_path, capsys, recwarn):
+    # Every entry is 1e300, so the joint table overflows at factor 1's product.
+    path = tmp_path / "e300.fg"
+    path.write_text("2\n\n2\n0 1\n2 2\n4\n0 1e300\n1 1e300\n2 1e300\n3 1e300\n"
+                    "\n1\n0\n2\n2\n0 1e300\n1 1e300\n")
+    code, out, err = run(capsys, "exact", "--engine", "brute", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[1:] == ["error: brute force left the floating-point range at factor 1"]
+    assert not recwarn.list
+
+
 def test_compare_writes_files(triangle_file, tmp_path, capsys):
     summary = tmp_path / "summary.csv"
     details = tmp_path / "details.jsonl"

@@ -379,10 +379,11 @@ def test_pairwise_subtree_equals_restricted_sawtree():
         for root in range(g.num_variables):
             for budget in (3, 7, 1000):
                 t = build_subtree(g, root, budget)
+                # Every factor is pairwise, so it has one child: both rules send the same bytes.
                 a = boxprop_subtree(g, t).box
                 b = boxprop_sawtree(g, t).box
-                assert np.abs(a.lower.values - b.lower.values).max() <= 1e-12
-                assert np.abs(a.upper.values - b.upper.values).max() <= 1e-12
+                assert a.lower.values.tobytes() == b.lower.values.tobytes()
+                assert a.upper.values.tobytes() == b.upper.values.tobytes()
 
 
 def test_soundness_on_random_loopy_graphs():
@@ -1049,14 +1050,14 @@ def test_varelim_cliques_stay_within_the_cap(monkeypatch):
     # other table lies on a subset of a checked clique, so no table the engine
     # multiplies out is larger than the cap.
     largest = []
-    real = propagation.multiply
+    real = propagation._multiply
 
     def multiply(a, b):
         out = real(a, b)
         largest.append(out.values.size)
         return out
 
-    monkeypatch.setattr(propagation, "multiply", multiply)
+    monkeypatch.setattr(propagation, "_multiply", multiply)
     rng = np.random.default_rng(61)
     graphs = [random_connected_graph(rng, max_vars=9, max_domain=4, max_extra=5) for _ in range(40)]
     successes = 0
@@ -1075,9 +1076,9 @@ def test_varelim_cliques_stay_within_the_cap(monkeypatch):
 
 def test_varelim_shares_bucket_eliminations(monkeypatch):
     calls = []
-    real = propagation.marginalize_out
+    real = propagation._marginalize_out
     monkeypatch.setattr(
-        propagation, "marginalize_out", lambda m, drop: calls.append(drop) or real(m, drop)
+        propagation, "_marginalize_out", lambda m, drop: calls.append(drop) or real(m, drop)
     )
     n = 100
     g = random_tree_graph(np.random.default_rng(55), n)
@@ -1163,12 +1164,17 @@ def test_varelim_refuses_a_grid_past_the_floating_point_range(make, domain, var,
     assert not recwarn.list
 
 
-def test_brute_marginals_tell_overflow_from_zero_mass():
+def test_brute_marginals_tell_overflow_from_zero_mass(recwarn):
+    # The joint table overflows at factor 1's product; the joint of 1e308
+    # entries does not, but the sum over variable 1 does.
+    left = "^brute force left the floating-point range at "
     g = graph_from([((0, 1), (2, 2), np.full(4, 1e300)), ((0,), (2,), (1e300, 1e300))])
-    with np.errstate(over="ignore"), pytest.raises(
-        CapacityExceededError, match="^the marginal of variable 0 left the floating-point range$"
-    ):
+    with pytest.raises(CapacityExceededError, match=left + "factor 1$"):
         exact_marginals(g, "brute")
+    g = graph_from([((0, 1), (2, 2), np.full(4, 1e308))])
+    with pytest.raises(CapacityExceededError, match=left + "the marginal of variable 0$"):
+        exact_marginals(g, "brute")
+    assert not recwarn.list
 
 
 def test_elimination_order_matches_the_full_rescan():
@@ -1182,7 +1188,7 @@ def test_elimination_order_matches_the_full_rescan():
 
 
 def test_exact_marginals_equal_the_reference_products(monkeypatch):
-    # The lean multiply and marginalize_out must give every table of both
+    # The lean _multiply and _marginalize_out must give every table of both
     # engines the bytes of the aligned product and the ndarray sum they
     # replace: random scope orders (so the second operand is transposed),
     # arity up to 4, unary factors, tables exp(beta * N(0, 1)) up to beta 5.
@@ -1205,8 +1211,8 @@ def test_exact_marginals_equal_the_reference_products(monkeypatch):
         ]
 
     lean = outputs()
-    monkeypatch.setattr(propagation, "multiply", reference_multiply)
-    monkeypatch.setattr(propagation, "marginalize_out", reference_marginalize_out)
+    monkeypatch.setattr(propagation, "_multiply", reference_multiply)
+    monkeypatch.setattr(propagation, "_marginalize_out", reference_marginalize_out)
     assert outputs() == lean
 
 
