@@ -101,13 +101,13 @@ def gen_ising_grid(spec: GridSpec) -> FactorGraph:
     factors = []
     with np.errstate(over="ignore"):
         for i in range(n):
-            factors.append(Factor(i, (i,), (2,), np.exp([-theta[i], theta[i]])))
+            factors.append(_grid_factor(spec, i, (i,), (2,), np.exp([-theta[i], theta[i]])))
         for k, (a, b) in enumerate(edges):
             j = coupling[k]
             # Little-endian over scope (a, b): s_a*s_b is +1 at indices 0 and 3.
             table = np.exp([j, -j, -j, j])
-            factors.append(Factor(n + k, (a, b), (2, 2), table))
-    return _finite_grid(factors, spec)
+            factors.append(_grid_factor(spec, n + k, (a, b), (2, 2), table))
+    return FactorGraph(factors)
 
 
 def gen_ternary_grid(spec: GridSpec) -> FactorGraph:
@@ -125,21 +125,21 @@ def gen_ternary_grid(spec: GridSpec) -> FactorGraph:
     logs = rng.normal(size=(len(edges), 9)) * spec.beta
     with np.errstate(over="ignore"):
         factors = [
-            Factor(k, (a, b), (3, 3), np.exp(logs[k]))
+            _grid_factor(spec, k, (a, b), (3, 3), np.exp(logs[k]))
             for k, (a, b) in enumerate(edges)
         ]
-    return _finite_grid(factors, spec)
-
-
-def _finite_grid(factors: list[Factor], spec: GridSpec) -> FactorGraph:
-    """The graph of the generated factors; ``ValueError`` if ``exp`` overflowed."""
-    for f in factors:
-        if not np.isfinite(f.table).all():
-            raise ValueError(
-                f"beta={spec.beta} overflows exp in factor {f.id} of the "
-                f"{spec.rows}x{spec.cols} grid (seed {spec.seed}); use a smaller beta"
-            )
     return FactorGraph(factors)
+
+
+def _grid_factor(spec: GridSpec, fid: int, scope, sizes, table: np.ndarray) -> Factor:
+    """The generated factor; ``ValueError`` naming ``beta`` if ``exp`` overflowed its table."""
+    try:
+        return Factor(fid, scope, sizes, table)
+    except ValueError:  # an entry is inf, the one defect exp can make here
+        raise ValueError(
+            f"beta={spec.beta} overflows exp in factor {fid} of the "
+            f"{spec.rows}x{spec.cols} grid (seed {spec.seed}); use a smaller beta"
+        ) from None
 
 
 def gap(b: Box) -> float:

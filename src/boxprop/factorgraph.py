@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from math import isfinite, prod
+from math import inf, isfinite, prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -43,7 +43,11 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class Factor:
-    """Nonnegative dense table over an ordered, duplicate-free variable scope."""
+    """Finite, nonnegative dense table over an ordered, duplicate-free variable scope.
+
+    A NaN, infinite or negative entry is refused at construction, so every
+    engine and oracle reads finite, nonnegative tables.
+    """
 
     id: int
     scope: tuple[int, ...]
@@ -72,8 +76,11 @@ class Factor:
             raise ValueError(
                 f"factor {self.id}: table length {table.size} != product of sizes {prod(sizes)}"
             )
-        if (table < 0.0).any():
-            raise ValueError(f"factor {self.id}: negative table entry")
+        # A NaN fails both comparisons; no mask is built unless one fails.
+        if not (np.minimum.reduce(table) >= 0.0 and np.maximum.reduce(table) < inf):
+            i = int(np.argmin((table >= 0.0) & (table < inf)))
+            raise ValueError(f"factor {self.id}: table entry {i} is {table[i]}; "
+                             "entries must be finite and nonnegative")
         table.setflags(write=False)
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "sizes", sizes)
@@ -175,9 +182,9 @@ class FactorGraph:
 
 @dataclass(frozen=True)
 class Violation:
-    """A structural, finiteness or positivity defect reported by :func:`validate`."""
+    """A structural or positivity defect reported by :func:`validate`."""
 
-    kind: str  # "disconnected" | "non-finite" | "positivity"
+    kind: str  # "disconnected" | "positivity"
     factor: int | None
     variable: int | None
     assignment: tuple[int, ...] | None
@@ -185,17 +192,15 @@ class Violation:
 
 
 def validate(g: FactorGraph) -> list[Violation]:
-    """Check connectedness, finite tables and the positivity condition.
+    """Check connectedness and the positivity condition.
 
-    Every table entry must be finite. A factor with an ``inf`` or ``NaN`` entry
-    gets one ``non-finite`` violation per such entry (its assignment runs over
-    the whole scope) and is not checked for positivity, whose sums such entries
-    would make meaningless. The positivity condition requires, for every
-    factor, every scope variable ``i`` and every joint assignment of the
-    remaining scope variables, that the sum of the table over ``x_i`` is
-    strictly positive. A factor then sends a nonzero message whenever its
-    incoming messages are nonzero, but the messages into one variable can
-    still multiply to zero (see :func:`boxprop.propagation.bp_marginals`).
+    Tables are finite and nonnegative from construction (see :class:`Factor`).
+    The positivity condition requires, for every factor, every scope variable
+    ``i`` and every joint assignment of the remaining scope variables, that
+    the sum of the table over ``x_i`` is strictly positive. A factor then
+    sends a nonzero message whenever its incoming messages are nonzero, but
+    the messages into one variable can still multiply to zero (see
+    :func:`boxprop.propagation.bp_marginals`).
 
     Violations are returned, not raised; an empty list means the graph passed.
     """
@@ -233,20 +238,12 @@ def _check_stack(fs: list[Factor], found: dict[int, list[Violation]]) -> None:
     """Add to ``found`` the violations of factors ``fs``, which share their sizes."""
     nd = stacked_tables(fs)
     n, k = len(fs), len(fs[0].sizes)
-    finite = np.isfinite(nd).all(axis=tuple(range(1, k + 1)))
-    # On finite nonnegative tables a sum is positive exactly when a summand is.
+    # On nonnegative tables a sum is positive exactly when a summand is.
     positive = nd > 0.0
     zero = [~positive.any(axis=pos + 1) for pos in range(k)]
-    flagged = ~finite | np.any([z.reshape(n, -1).any(axis=1) for z in zero], axis=0)
+    flagged = np.any([z.reshape(n, -1).any(axis=1) for z in zero], axis=0)
     for j in np.flatnonzero(flagged).tolist():
-        f, t = fs[j], nd[j]
-        if not finite[j]:
-            found[f.id] = [
-                Violation("non-finite", f.id, None, at, f"factor {f.id}: table entry {t[at]} "
-                          f"at assignment {dict(zip(f.scope, at))} is not finite")
-                for at in map(tuple, np.argwhere(~np.isfinite(t)).tolist())
-            ]
-            continue
+        f = fs[j]
         found[f.id] = [
             Violation("positivity", f.id, v, at, f"factor {f.id}: sum over variable {v} is zero "
                       f"at assignment {dict(zip(f.scope[:pos] + f.scope[pos + 1 :], at))}")
@@ -389,7 +386,6 @@ def parse_fg(text: str) -> FactorGraph:
             table[idx], listed_at[idx] = value, 1
         if listed < m:
             raise FgFormatError(lineno, "unexpected end of input, expected table entry")
-        del listed_at  # before Factor's nonnegativity mask, of the same size
         table.setflags(write=False)  # so that Factor keeps it instead of copying
         factors.append(Factor(fid, scope, sizes, table))
     for lineno, line in lines:

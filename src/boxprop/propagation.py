@@ -553,7 +553,7 @@ def bp_marginals(
         if damping:
             _gathered_products(undamped[d], idx, padded[d], variables)
         for v, b in zip(variables, _gathered_products(f2v[d], idx, padded[d], variables)):
-            beliefs[v] = Measure((v,), (d,), b)
+            beliefs[v] = Measure._new((v,), (d,), b)
     return BpResult([beliefs[v] for v in range(g.num_variables)], converged, iterations, residual)
 
 
@@ -598,7 +598,9 @@ def exact_marginals(g: FactorGraph, engine: str = "brute") -> list[Measure]:
     ``VARELIM_BUCKET_CAP`` entries. Both raise :class:`CapacityExceededError`
     past their caps or the floating-point range, and :class:`ZeroMeasureError`
     naming a variable when every joint assignment has weight zero
-    (``validate`` allows that).
+    (``validate`` allows that). Factor tables are finite from construction,
+    so only an overflow, which both engines trap with ``np.errstate``, can
+    make a value infinite or NaN.
 
     Each factor goes into the bucket of its earliest-eliminated variable. An
     upward pass along the order multiplies each bucket's factors and its
@@ -632,7 +634,7 @@ def _brute_marginals(g: FactorGraph) -> list[Measure]:
         with np.errstate(over="raise", invalid="raise"):
             for f in g.factors:
                 at = f"factor {f.id}"
-                joint = _multiply(joint, Measure(f.scope, f.sizes, f.table))
+                joint = _multiply(joint, Measure._new(f.scope, f.sizes, f.table))
             for v in range(g.num_variables):
                 at = f"the marginal of variable {v}"
                 out.append(_marginal(joint, v))
@@ -645,8 +647,6 @@ def _marginal(m: Measure, v: int) -> Measure:
     """Variable ``v``'s normalized marginal of ``m``; zero mass means a zero joint measure."""
     m = _marginalize_out(m, set(m.scope) - {v})
     z = m.values.sum()
-    if not np.isfinite(z):
-        raise CapacityExceededError(f"the marginal of variable {v} left the floating-point range")
     if not z > 0.0:
         raise ZeroMeasureError(f"every joint assignment has weight zero, so the marginal of "
                                f"variable {v} has zero mass")

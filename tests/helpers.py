@@ -432,20 +432,6 @@ def reference_validate(g: FactorGraph) -> list[Violation]:
 
     for f in g.factors:
         nd = f.table_nd()
-        if not np.isfinite(f.table).all():
-            for assignment in np.argwhere(~np.isfinite(nd)):
-                at = tuple(int(x) for x in assignment)
-                out.append(
-                    Violation(
-                        "non-finite",
-                        f.id,
-                        None,
-                        at,
-                        f"factor {f.id}: table entry {nd[at]} at assignment "
-                        f"{dict(zip(f.scope, at))} is not finite",
-                    )
-                )
-            continue
         for pos, v in enumerate(f.scope):
             summed = nd.sum(axis=pos)
             if summed.min() > 0.0:

@@ -19,6 +19,7 @@ from boxprop.bench import (
     grid_edges,
     median_gap,
     profiles_csv,
+    run_method,
     summary_csv,
 )
 from boxprop.factorgraph import validate, write_fg
@@ -285,3 +286,9 @@ def test_grid_benchmark_script_fails_on_a_missed_box(tmp_path, monkeypatch, caps
     out, err = capsys.readouterr()
     assert "exact in boxes: NO" in out
     assert "error: exact marginal outside a box: binary beta=0.5" in err
+
+
+def test_run_method_refuses_an_unknown_method():
+    with pytest.raises(ValueError) as err:
+        run_method(triangle_graph(), "bogus", 0, 10)
+    assert str(err.value) == "unknown method 'bogus'; expected one of ('subtree', 'sawtree')"

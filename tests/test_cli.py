@@ -6,7 +6,7 @@ import pytest
 
 from boxprop import bench as bench_module
 from boxprop import cli as cli_module
-from boxprop import propagation
+from boxprop import measure, propagation
 from boxprop.cli import main
 from boxprop.factorgraph import parse_fg, write_fg
 from boxprop.measure import Box, Measure
@@ -315,6 +315,30 @@ def test_compare_writes_files(triangle_file, tmp_path, capsys):
     detail = [json.loads(l) for l in details.read_text().splitlines()]
     assert len(detail) == 6
     assert profiles.read_text().splitlines()[0] == "method,rank,gap"
+
+
+def test_compare_notes_a_failing_root_and_exits_0(tmp_path, capsys, monkeypatch):
+    # With a one-combination cap every root but variable 2 fails at budget 3;
+    # the run still succeeds, and each failing root's record carries its note
+    # and an empty box.
+    monkeypatch.setattr(measure, "ENUMERATION_CAP", 1)
+    path, details = tmp_path / "g.fg", tmp_path / "details.jsonl"
+    sym = (1.0, 2.0, 2.0, 1.0)
+    path.write_text(write_fg(graph_from(
+        [((0, 1), (2, 2), sym), ((0, 2), (2, 2), sym), ((1, 2), (2, 2), sym),
+         ((2, 3), (2, 2), sym), ((3, 4), (2, 2), sym)]
+    )))
+    code, out, _ = run(
+        capsys, "compare", "--in", str(path), "--methods", "subtree", "--max-nodes", "3",
+        "--details-out", str(details),
+    )
+    assert code == 0
+    records = [json.loads(line) for line in details.read_text().splitlines()]
+    assert [r.get("note") for r in records] == ["CapacityExceededError"] * 2 + [None] + [
+        "CapacityExceededError"
+    ] * 2
+    assert all(r["lower"] == r["upper"] == [] for r in records if "note" in r)
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["2"]
 
 
 def test_compare_prints_summary_to_stdout(triangle_file, capsys):

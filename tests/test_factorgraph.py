@@ -135,6 +135,17 @@ def test_write_lists_zero_entries():
         ("1\n\n1\n0\n2\n1\n0 \u0663\n", "line 7: bad table value '\u0663'"),
         ("1\n\n1\n\u0660\n2\n0\n", "line 4: expected integer variable id, got '\u0660'"),
         ("1\n\n1\n0\n2\n1\n0 2_5\n", "line 7: bad table value '2_5'"),
+        ("0\n", "line 1: factor count must be >= 1, got 0"),
+        ("1\n\n0\n", "line 3: scope size must be >= 1, got 0"),
+        ("1\n\n2\n0\n", "line 4: expected 2 variable ids, got 1"),
+        ("1\n\n1\n-1\n", "line 4: variable ids must be nonnegative"),
+        ("1\n\n1\n0\n2 2\n", "line 5: expected 1 domain sizes, got 2"),
+        ("1\n\n1\n0\n2\n-1\n", "line 6: entry count must be >= 0, got -1"),
+        ("1\n\n1\n0\n2\n1\n0 1 2\n", "line 7: expected 'index value', got '0 1 2'"),
+        ("1\n\n1\n0\n2\n1\n0 inf\n", "line 7: table value must be finite, got inf"),
+        ("1\n\n1\n0\n2\n1\n0 nan\n", "line 7: table value must be finite, got nan"),
+        ("1\n\n1\n0\n2\n1\n0 1e999\n", "line 7: table value must be finite, got inf"),
+        ("1\n\n1\n0\n2\n2\n0 1\n", "line 7: unexpected end of input, expected table entry"),
     ],
 )
 def test_parse_errors(text, said):
@@ -171,13 +182,13 @@ def test_validate_positivity_zero_column():
     assert hit and hit[0].assignment == (1,)
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
-def test_validate_reports_non_finite_entry(value):
-    # An inf entry used to pass; a NaN entry was reported as a zero sum.
-    g = graph_from([((0, 1), (2, 2), (1.0, 2.0, float(value), 1.0)), ((1,), (2,), (1.0, 1.0))])
-    violations = validate(g)
-    assert [(v.kind, v.factor, v.assignment) for v in violations] == [("non-finite", 0, (0, 1))]
-    assert value in violations[0].message
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_factor_rejects_a_non_finite_entry(value):
+    with pytest.raises(ValueError) as err:
+        graph_from([((0, 1), (2, 2), (1.0, 2.0, float(value), 1.0)), ((1,), (2,), (1.0, 1.0))])
+    assert str(err.value) == (
+        f"factor 0: table entry 2 is {value}; entries must be finite and nonnegative"
+    )
 
 
 def test_validate_disconnected():
@@ -205,11 +216,11 @@ def test_validate_disconnected():
 
 def _defect_graph(rng):
     """Seeded graph of unary, pairwise and 3-ary factors over domains 2-4, some
-    with ``inf``/``NaN`` entries, some with zero-sum slices, some with both.
+    with zero-sum slices.
 
     Variables that no factor drew get a unary factor, so ids stay dense; the
-    graph is often disconnected. Returns the graph and the (arity, defects)
-    of each factor, defects a bit set: 1 non-finite, 2 zero slices.
+    graph is often disconnected. Returns the graph and the (arity, defective)
+    of each factor, defective meaning zero slices were cut into it.
     """
     n = int(rng.integers(3, 9))
     sizes = [int(d) for d in rng.integers(2, 5, n)]
@@ -218,22 +229,19 @@ def _defect_graph(rng):
         scope = tuple(int(v) for v in rng.choice(n, int(rng.integers(1, 4)), replace=False))
         shape = tuple(sizes[v] for v in scope)
         nd = rng.uniform(0.1, 2.0, shape)  # indexed like Factor.table_nd()
-        defects = int(rng.integers(0, 4))
-        if defects & 2:
+        defective = bool(rng.integers(0, 2))
+        if defective:
             if rng.random() < 0.5:
                 nd[rng.random(shape) < 0.6] = 0.0
             for _ in range(int(rng.integers(1, 3))):
                 at = [int(rng.integers(d)) for d in shape]
                 at[int(rng.integers(len(shape)))] = slice(None)
                 nd[tuple(at)] = 0.0
-        if defects & 1:
-            for _ in range(int(rng.integers(1, 3))):
-                nd[tuple(int(rng.integers(d)) for d in shape)] = rng.choice([np.inf, np.nan])
         tables.append((scope, shape, nd.ravel(order="F")))
-        kinds.append((len(scope), defects))
+        kinds.append((len(scope), defective))
     for v in sorted(set(range(n)) - {u for scope, _, _ in tables for u in scope}):
         tables.append(((v,), (sizes[v],), rng.uniform(0.1, 2.0, sizes[v])))
-        kinds.append((1, 0))
+        kinds.append((1, False))
     return graph_from(tables), kinds
 
 
@@ -250,29 +258,10 @@ def test_validate_equals_the_per_factor_loop(monkeypatch, stack_entries):
         assert got == want
         assert repr(got) == repr(want)  # Python ints in every assignment
         flagged = {v.factor for v in got}
-        seen |= {(arity, d) for fid, (arity, d) in enumerate(kinds) if fid in flagged}
+        assert all(defective for fid, (_, defective) in enumerate(kinds) if fid in flagged)
+        seen |= {arity for fid, (arity, _) in enumerate(kinds) if fid in flagged}
         seen |= {v.kind for v in got}
-    assert {"disconnected", "non-finite", "positivity"} <= seen
-    assert {(arity, d) for arity in (1, 2, 3) for d in (1, 2, 3)} <= seen
-
-
-def test_validate_reports_one_factor_with_both_defects():
-    # Factor 1 has a zero-sum slice and a NaN; it gets only the non-finite
-    # violation, after factor 0's positivity violations, in factor order.
-    g = graph_from(
-        [
-            ((0, 1, 2), (2, 3, 2), np.r_[np.zeros(2), np.ones(10)]),
-            ((1, 2), (3, 2), (0.0, 0.0, 0.0, 1.0, np.nan, 1.0)),
-            ((0,), (2,), (1.0, 1.0)),
-        ]
-    )
-    got = validate(g)
-    assert got == reference_validate(g)
-    assert [(v.kind, v.factor, v.variable, v.assignment) for v in got] == [
-        ("positivity", 0, 0, (0, 0)),
-        ("non-finite", 1, None, (1, 1)),
-    ]
-    assert got[1].message == "factor 1: table entry nan at assignment {1: 1, 2: 1} is not finite"
+    assert seen == {"disconnected", "positivity", 1, 2, 3}
 
 
 def test_validate_extra_memory_stays_within_the_stack_budget():
@@ -368,10 +357,13 @@ def test_factor_rejects_a_negative_variable_id():
 
 
 def test_factor_rejects_a_negative_entry_beside_a_nan():
-    with pytest.raises(ValueError, match="negative"):
+    # The first bad entry is named, whichever defect it has.
+    with pytest.raises(ValueError, match="entry 0 is nan; entries must be finite and nonnegative"):
         Factor(0, (0,), (3,), [np.nan, -1.0, 2.0])
-    # A NaN alone is left for validate to report as non-finite.
-    assert np.isnan(Factor(0, (0,), (3,), [np.nan, 1.0, 2.0]).table[0])
+    with pytest.raises(ValueError, match="entry 1 is -1.0; entries must be finite and nonnegative"):
+        Factor(0, (0,), (3,), [1.0, -1.0, np.nan])
+    with pytest.raises(ValueError, match="entry 0 is nan"):
+        Factor(0, (0,), (3,), [np.nan, 1.0, 2.0])
 
 
 def test_graph_construction_errors():
@@ -382,6 +374,21 @@ def test_graph_construction_errors():
         FactorGraph([f_ok, Factor(1, (0,), (3,), np.ones(3))])  # size clash
     with pytest.raises(ValueError):
         FactorGraph([Factor(0, (1,), (2,), np.ones(2))])  # missing variable 0
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Factor(0, (0, 1), (2,), np.ones(2)), "factor 0: scope/sizes length mismatch"),
+        (lambda: Factor(0, (0,), (1,), np.ones(1)), "factor 0: domain sizes must be >= 2, got (1,)"),
+        (lambda: FactorGraph([Factor(1, (0,), (2,), np.ones(2))]),
+         "factor ids must equal list positions; got 1 at 0"),
+    ],
+)
+def test_factor_and_graph_refuse_bad_arguments(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_a_far_variable_id_is_refused_at_bounded_cost():

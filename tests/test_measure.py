@@ -101,6 +101,34 @@ def test_measure_rejects_a_non_finite_entry(values, message):
         Measure((0,), (2,), values)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Measure((0, 1), (2,), [1.0, 1.0]), "scope and sizes must align"),
+        (lambda: Measure((0, 0), (2, 2), np.ones(4)), "duplicate variable in scope (0, 0)"),
+        (lambda: Measure((0,), (2,), [1.0, 1.0, 1.0]), "values length 3 != product of sizes 2"),
+        (lambda: Box(m((0,), (2,), [0, 0]), m((1,), (2,), [1, 1])),
+         "box bounds must share scope and sizes"),
+        (lambda: Box(m((0,), (2,), [1, 0]), m((0,), (2,), [0.5, 1])),
+         "box lower bound must be <= upper bound pointwise"),
+        (lambda: Simplex(0, 1), "simplex variable needs domain size >= 2"),
+        (lambda: box_product_same_scope([]), "box_product_same_scope needs at least one box"),
+        (lambda: box_product_same_scope([full_box(0, 2), full_box(1, 2)]),
+         "all boxes must share one scope"),
+        (lambda: bound_sum_product(SYM, 0, {1: Simplex(0, 2)}),
+         "message set is on variable 0, expected 1"),
+        (lambda: bound_sum_product(SYM, 0, {1: full_box(0, 2)}),
+         "message set is on scope (0,), expected (1,)"),
+        (lambda: bound_sum_product_joint(SYM, 2, full_box(1, 2)),
+         "variable 2 not in factor scope (0, 1)"),
+    ],
+)
+def test_constructors_and_kernels_refuse_bad_arguments(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_marginalize_out():
     psi = m((0, 1), (2, 2), (1, 2, 2, 1))
     assert np.array_equal(_marginalize_out(psi, {1}).values, [3, 3])

@@ -1177,6 +1177,17 @@ def test_brute_marginals_tell_overflow_from_zero_mass(recwarn):
     assert not recwarn.list
 
 
+def test_exact_marginals_keep_a_legitimate_zero(recwarn):
+    # A zero in a table, not underflow, makes variable 0's marginal [1, 0]:
+    # elimination returns it instead of refusing it as underflow.
+    g = graph_from([((0,), (2,), (1.0, 0.0)), ((0, 1), (2, 2), (1.0, 2.0, 3.0, 4.0))])
+    for engine in ("brute", "varelim"):
+        marginals = exact_marginals(g, engine)
+        assert marginals[0].values.tolist() == [1.0, 0.0]
+        assert marginals[1].values.tolist() == [0.25, 0.75]
+    assert not recwarn.list
+
+
 def test_elimination_order_matches_the_full_rescan():
     rng = np.random.default_rng(71)
     graphs = [random_connected_graph(rng, max_vars=12, max_domain=4, max_extra=6) for _ in range(40)]
