@@ -160,7 +160,7 @@ class FactorGraph:
 
         One breadth-first pass labels components in order of their smallest
         variable, so variable 0's label is 0; a size counts variables plus
-        factors. Racing threads compute equal values.
+        factors. Only :func:`validate` reads them; racing threads agree.
         """
         label, seen, size = [-1] * self.num_variables, bytearray(self.num_factors), []
         for s in range(self.num_variables):

@@ -336,7 +336,8 @@ def frontier_boxes(factors: Iterable[Factor]) -> dict[tuple[int, int], Box]:
     combination of those columns, so it is also the exact box of
     :func:`bound_sum_product_joint` on that box, and no corner is enumerated.
     Matrices of one shape are stacked and bounded together. Pairs with a zero
-    column or more than ``ENUMERATION_CAP`` columns are left out.
+    column, an overflowing column sum or over ``ENUMERATION_CAP`` columns are
+    left out.
     """
     groups: dict[tuple[int, int], list[tuple[Factor, int]]] = {}
     for f in factors:
@@ -347,11 +348,11 @@ def frontier_boxes(factors: Iterable[Factor]) -> dict[tuple[int, int], Box]:
         if k > ENUMERATION_CAP:
             continue
         mats = np.stack([f.matrices[v] for f, v in pairs])
-        z = np.add.reduce(mats, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # zero columns: left out below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # left out below
+            z = np.add.reduce(mats, axis=1)
             norm = mats / z[:, None, :]
         lower, upper = np.minimum.reduce(norm, axis=2), np.maximum.reduce(norm, axis=2)
-        for r in (np.minimum.reduce(z, axis=1) > 0.0).nonzero()[0].tolist():
+        for r in np.flatnonzero(((z > 0.0) & (z < np.inf)).all(axis=1)).tolist():
             f, v = pairs[r]
             boxes[f.id, v] = Box._new((v,), (d,), lower[r], upper[r])
     return boxes

@@ -12,11 +12,12 @@ elimination) are included as oracles for checking those containment claims.
 Variable elimination gives every marginal from one upward and one downward
 pass over the bucket tree of a greedy elimination order, one message each way
 per tree edge. The oracles' products and sums of dense tables are private
-helpers here, and both oracles refuse a table that leaves the floating-point
-range. BP holds its messages in one ``(edges, d)`` array per domain size and
-direction, contracts all edges of one table shape and position together (one
-stacked matrix product per contraction and sweep), and returns the same bytes
-as a plain per-edge loop would. See :func:`exact_marginals` and
+helpers here. The oracles, BP and both bound methods turn a numpy overflow
+into a :class:`CapacityExceededError` saying where it happened. BP holds its
+messages in one ``(edges, d)`` array per domain size and direction, contracts
+all edges of one table shape and position together (one stacked matrix
+product per contraction and sweep), and returns the same bytes as a plain
+per-edge loop would. See :func:`exact_marginals` and
 :func:`bp_marginals`, whose defaults are ``BP_TOL``, ``BP_MAX_ITER`` and
 ``BP_DAMPING``, the defaults of ``boxprop bp`` too.
 
@@ -43,10 +44,10 @@ its inputs' bytes and order and the kernels are deterministic, so every bound
 is bit-identical to an unmemoized run.
 
 The registry holding the memo, the table and the cached adjacency is held
-weakly by graph, made on the first root, and dies with the graph. Connected
-components are the graph's (``FactorGraph.components``), found in one pass
-that :func:`boxprop.factorgraph.validate` and the subtree builder share. A
-root that starts on a registry whose memo exceeds ``MESSAGE_MEMO_CAP``
+weakly by graph, made on the first root, and dies with the graph. The
+subtree builder counts its nodes in its own join pass; only
+:func:`boxprop.factorgraph.validate` reads ``FactorGraph.components``. A root
+that starts on a registry whose memo exceeds ``MESSAGE_MEMO_CAP``
 entries per bipartite node clears it in place. The engine is sequential:
 bound the roots of a graph from one thread at a time.
 """
@@ -225,9 +226,10 @@ class SawTree:
     endpoint of its parent walk (-1 for the root, walk 0); ``kind[i]`` indexes
     ``("root", "inner", "dead_end", "cycle", "truncated")``; and its children
     are the walks ``first[i]:first[i + 1]``, in ascending endpoint order.
-    ``node_count`` counts the nodes the builder spent its budget on: the walks
-    that are not ``truncated`` markers, plus, in a subtree, the dead nodes a
-    full pass joins. These lists are the tree; ``root_node`` is a view of them.
+    ``node_count`` counts the nodes the builder spent its budget on: in a walk
+    tree the walks that are not ``truncated`` markers, in a subtree the nodes
+    its join pass joins, the unlisted ones below a marker's parent too. These
+    lists are the tree; ``root_node`` is a view of them.
     """
 
     root: int
@@ -311,26 +313,26 @@ def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     on_walk = [1]
     count = 1
     for i, u in enumerate(end):
-        start = len(end)
-        first.append(start)
+        first.append(len(end))
         if kind[i] > _INNER:
             continue
         p, mask = prev[i], on_walk[i]
         for w in nbrs[u]:
             if w == p:
                 continue
-            b = bit[w]
-            if not b:
-                bit[w] = b = top = top << 1
             end.append(w)
             prev.append(u)
-            on_walk.append(mask | b)
             if count < max_nodes:
                 count += 1
+                b = bit[w]
+                if not b:
+                    bit[w] = b = top = top << 1
+                on_walk.append(mask | b)
                 kind.append(_CYCLE if mask & b else _INNER)
             else:
+                on_walk.append(0)  # a marker is never expanded, so its mask is never read
                 kind.append(_TRUNCATED)
-        if i and len(end) == start:
+        if i and len(end) == first[i]:
             kind[i] = _DEAD_END
     first.append(len(end))
     return SawTree(root, count, end, prev, kind, first)
@@ -339,74 +341,62 @@ def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
 def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     """Breadth-first subtree from ``root``, as the walk tree its bound runs on.
 
-    First visit wins: an extension joins the tree if its endpoint is not in
-    the tree yet and fewer than ``max_nodes`` nodes are, so nodes join in
-    ascending id order and the result is deterministic for a given graph and
-    budget. Every other edge leaving a tree node, except the one back to its
-    parent, becomes a ``truncated`` marker and sends a simplex. A variable
-    with a marker child sends its own simplex, so its other children and all
-    below them are *dead*: they join in queue order but get no walks, as no
-    message of theirs can reach the root. The build stops once no live node
-    is left to expand. ``node_count`` is what a full pass would join: the
-    budget or the size of the root's component (``g.components``), whichever
-    is smaller. On pairwise factor graphs the joint rule of
-    :func:`boxprop_sawtree` gives the same box over this tree as the
-    factorized rule of :func:`boxprop_subtree`.
+    A join pass first runs a plain breadth-first search from ``root``: a node
+    joins the tree when first reached, unless ``max_nodes`` nodes already
+    have, so nodes join in ascending id order and the result is deterministic
+    for a given graph and budget. ``node_count`` is the number that join. The
+    walks are then listed as :func:`build_saw_tree` lists them: an edge from
+    a tree node to the node it joined is an ``inner`` walk, and every other
+    edge leaving it, except the one back to its parent, becomes a
+    ``truncated`` marker that sends a simplex. A variable with a marker child
+    sends its own simplex, so it lists only its markers: the nodes it joined,
+    and all below them, send nothing that can reach the root. On pairwise
+    factor graphs the joint rule of :func:`boxprop_sawtree` gives the same
+    box over this tree as the factorized rule of :func:`boxprop_subtree`.
     """
-    reg = _builder_registry(g, root, max_nodes)
-    n, nbrs = reg.num_variables, reg.nbrs
-    end, prev, kind, first = [root], [-1], [_ROOT], []
-    # Joined nodes in breadth-first order: endpoint, parent endpoint and walk
-    # index (-1 for a dead node); ``live`` counts the queued nodes not dead.
-    queue = [(root, -1, 0)]
-    in_tree = bytearray(len(nbrs))
-    in_tree[root] = 1
-    count = live = 1
-    for u, p, i in queue:
-        if not live:
-            break
-        dead = i < 0  # whether the node's joined children are dead
-        if not dead:
-            live -= 1
-            while len(first) <= i:
-                first.append(len(end))
-            if u < n:
-                # A marker child: a neighbour already in the tree, or one past the budget.
-                dead = count + len(nbrs[u]) - (p >= 0) > max_nodes
-                for w in nbrs[u]:
-                    if w != p and in_tree[w]:
-                        dead = True
-                        break
+    n, nbrs = g.num_variables, _builder_registry(g, root, max_nodes).nbrs
+    # ``parent[w]``: the node that joined ``w`` (-1 if none; the root is its
+    # own); ``cut[v]``: whether variable ``v`` has a marker child.
+    parent = [-1] * len(nbrs)
+    parent[root] = root
+    cut = bytearray(len(nbrs))
+    joined = [root]
+    for u in joined:
+        p = parent[u]
         for w in nbrs[u]:
-            if w == p:
+            if parent[w] < 0 and len(joined) < max_nodes:
+                parent[w] = u
+                joined.append(w)
+            elif u < n and w != p:
+                cut[u] = 1
+    end, prev, kind, first = [root], [-1], [_ROOT], []
+    for i, u in enumerate(end):
+        first.append(len(end))
+        if kind[i] > _INNER:
+            continue
+        p = prev[i]
+        for w in nbrs[u]:
+            if w == p or cut[u] and parent[w] == u:
                 continue
-            if count < max_nodes and not in_tree[w]:
-                count += 1
-                in_tree[w] = 1
-                queue.append((w, u, -1 if dead else len(end)))
-                if dead:
-                    continue
-                live += 1
-                kind.append(_INNER)
-            elif i < 0:
-                continue
-            else:
-                kind.append(_TRUNCATED)
             end.append(w)
             prev.append(u)
-        if i > 0 and len(end) == first[i]:
+            kind.append(_INNER if parent[w] == u else _TRUNCATED)
+        if i and len(end) == first[i]:
             kind[i] = _DEAD_END
-    while len(first) <= len(end):
-        first.append(len(end))
-    label, size = g.components
-    count = min(max_nodes, size[label[root]])  # what a full pass joins
-    return SawTree(root, count, end, prev, kind, first)
+    first.append(len(end))
+    return SawTree(root, len(joined), end, prev, kind, first)
 
 
 def _bound(g: FactorGraph, t: SawTree, rule: str, method: str) -> BoundResult:
-    """One pass over ``t`` under ``rule``, timed and labelled ``method``."""
+    """One pass over ``t`` under ``rule``, timed, labelled ``method``; an overflow raises."""
     start = perf_counter()
-    belief = _propagate(_registry(g), t, rule)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            belief = _propagate(_registry(g), t, rule)
+    except FloatingPointError:
+        raise CapacityExceededError(
+            f"{method} propagation left the floating-point range at root {t.root}"
+        ) from None
     return BoundResult(t.root, belief, method, t.node_count, perf_counter() - start)
 
 
@@ -438,7 +428,7 @@ class BpResult:
     residual: float
 
 
-@np.errstate(invalid="raise")
+@np.errstate(over="raise", invalid="raise")
 def bp_marginals(
     g: FactorGraph,
     tol: float = BP_TOL,
@@ -453,7 +443,8 @@ def bp_marginals(
     Requires a graph that passes validation, ``max_iter >= 1`` and a
     positive, finite ``tol``. Positivity does not keep the messages into a
     variable from multiplying to zero (unary factors ``[1, 0]`` and ``[0, 1]``
-    on it): such a ``0 / 0`` raises :class:`ZeroMeasureError` naming it.
+    on it): such a ``0 / 0`` raises :class:`ZeroMeasureError` naming it, and
+    a sweep that overflows raises :class:`CapacityExceededError`.
     Damping keeps them above zero, so the belief products also run over the
     last sweep's undamped messages and raise as undamped BP would.
 
@@ -526,12 +517,17 @@ def bp_marginals(
     v2f = {d: x.copy() for d, x in f2v.items()}
     converged = False
     for iterations in range(1, max_iter + 1):
-        for out, target, cur, steps in plan:
-            for perm, mshape, shape, d, s in steps:
-                cur = np.matmul(cur.transpose(perm).reshape(mshape), v2f[d][s][:, :, None])
-                cur = cur.reshape(shape)
-            out[target] = cur
-        new_f2v = {d: _normalized(x, owner[d]) for d, x in raw.items()}
+        try:
+            for out, target, cur, steps in plan:
+                for perm, mshape, shape, d, s in steps:
+                    cur = np.matmul(cur.transpose(perm).reshape(mshape), v2f[d][s][:, :, None])
+                    cur = cur.reshape(shape)
+                out[target] = cur
+            new_f2v = {d: _normalized(x, owner[d]) for d, x in raw.items()}
+        except FloatingPointError:
+            raise CapacityExceededError(
+                f"BP left the floating-point range in sweep {iterations}"
+            ) from None
         new_v2f = {d: _gathered_products(f2v[d], gather[d], padded[d], owner[d]) for d in edges}
         if damping:
             undamped = new_f2v

@@ -299,6 +299,43 @@ def test_brute_past_the_floating_point_range_exits_2_without_a_warning(tmp_path,
     assert not recwarn.list
 
 
+E308_FG = "2\n\n2\n0 1\n2 2\n4\n0 1e308\n1 1e308\n2 1e308\n3 1e308\n\n1\n0\n2\n2\n0 1\n1 1\n"
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (("bound", "--method", "sawtree"), "sawtree propagation left the floating-point range at root 0"),
+        (("bound", "--method", "subtree"), "subtree propagation left the floating-point range at root 0"),
+        (("bp",), "BP left the floating-point range in sweep 1"),
+    ],
+    ids=["sawtree", "subtree", "bp"],
+)
+def test_bounds_and_bp_past_the_floating_point_range_exit_2_without_a_warning(
+    tmp_path, capsys, recwarn, args, error
+):
+    # The pairwise factor's column sums are 2e308, past the largest float.
+    path = tmp_path / "e308.fg"
+    path.write_text(E308_FG)
+    code, out, err = run(capsys, *args, "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[1:] == [f"error: {error}"]
+    assert not recwarn.list
+
+
+def test_compare_notes_the_roots_past_the_floating_point_range(tmp_path, capsys, recwarn):
+    path, details = tmp_path / "e308.fg", tmp_path / "details.jsonl"
+    path.write_text(E308_FG)
+    code, out, err = run(capsys, "compare", "--in", str(path), "--details-out", str(details))
+    assert code == 0 and out == "variable,method,gap,time_ms\n"
+    assert len(err.splitlines()) == 1
+    records = [json.loads(line) for line in details.read_text().splitlines()]
+    assert [(r["method"], r["variable"], r["note"]) for r in records] == [
+        (m, v, "CapacityExceededError") for m in ("sawtree", "subtree") for v in (0, 1)
+    ]
+    assert not recwarn.list
+
+
 def test_compare_writes_files(triangle_file, tmp_path, capsys):
     summary = tmp_path / "summary.csv"
     details = tmp_path / "details.jsonl"

@@ -326,9 +326,9 @@ def test_subtree_lists_only_the_walks_that_reach_the_root(monkeypatch, cap):
 
 
 def test_early_stopping_subtree_builder_on_two_components():
-    # The builder stops once no live node is queued, so it never joins the
-    # dead nodes a full pass joins after the last live one; ``node_count``
-    # must still be the full pass's, capped by the root's component.
+    # ``node_count`` is what the join pass joins, the budget or the root's
+    # component, whichever is smaller, and the walks are the reference's
+    # without the dead ones, in either component.
     grid, triangle = grid_and_triangle_tables(np.random.default_rng(1301))
     g = graph_from(grid + triangle)
     # Each component's variables and its number of bipartite nodes.
@@ -1174,6 +1174,19 @@ def test_brute_marginals_tell_overflow_from_zero_mass(recwarn):
     g = graph_from([((0, 1), (2, 2), np.full(4, 1e308))])
     with pytest.raises(CapacityExceededError, match=left + "the marginal of variable 0$"):
         exact_marginals(g, "brute")
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("method", ["subtree", "sawtree"])
+def test_an_overflowing_factor_fails_only_the_roots_that_reach_it(method, recwarn):
+    # Factor 1's column sums are 2e308. Only a tree that sends a message
+    # through it overflows; a marker on it sends a simplex and computes nothing.
+    g = graph_from([((0, 1), (2, 2), (1.0, 2.0, 3.0, 4.0)), ((1, 2), (2, 2), np.full(4, 1e308))])
+    assert run_method(g, method, 0, 3).box is not None
+    for root, budget in ((0, 4), (1, 3), (2, 2)):
+        message = f"^{method} propagation left the floating-point range at root {root}$"
+        with pytest.raises(CapacityExceededError, match=message):
+            run_method(g, method, root, budget)
     assert not recwarn.list
 
 
