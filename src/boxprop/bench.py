@@ -185,6 +185,7 @@ class CompareResult:
     exact: list | None = None
     bp: BpResult | None = None
     exact_error: str = ""
+    bp_error: str = ""
 
 
 def run_method(g: FactorGraph, method: str, root: int, max_nodes: int) -> BoundResult:
@@ -208,7 +209,10 @@ def compare(
     is reported as extra gap records under the method label ``bp``. When
     elimination exceeds its cap, the result's ``exact`` is ``None``, its
     ``exact_error`` holds the cap error's message and no ``bp`` rows are
-    made. Records are merged deterministically by (method, variable).
+    made; when BP fails (it leaves the floating-point range, or the messages
+    into a variable multiply to zero), its ``bp`` is ``None`` and its
+    ``bp_error`` holds the message, with no ``bp`` rows either. Records are
+    merged deterministically by (method, variable).
     """
     out = CompareResult()
     for method, budget in budgets.items():
@@ -233,9 +237,12 @@ def compare(
             out.exact_error = str(exc)
     if run_bp:
         t0 = perf_counter()
-        out.bp = bp_marginals(g)
+        try:
+            out.bp = bp_marginals(g)
+        except (CapacityExceededError, ZeroMeasureError) as exc:
+            out.bp_error = str(exc)
         bp_ms = (perf_counter() - t0) * 1e3
-        if out.exact is not None:
+        if out.exact is not None and out.bp is not None:
             for v in range(g.num_variables):
                 err = float(
                     np.abs(out.bp.beliefs[v].values - out.exact[v].values).max()

@@ -219,9 +219,11 @@ def compare_cmd(in_path, methods, max_nodes, run_bp, summary_out, details_out, p
     # Only the BP error rows read the exact marginals.
     result = compare(g, dict.fromkeys(methods, max_nodes), run_bp=run_bp, exact=run_bp)
     _check_records(result.detail_records)
-    if result.exact_error:
-        # The run still succeeds; only the rows that need exact marginals are missing.
-        click.echo(f"warning: skipped the bp rows: exact marginals: {result.exact_error}", err=True)
+    failed = [f"{what}: {error}" for what, error in
+              (("BP", result.bp_error), ("exact marginals", result.exact_error)) if error]
+    if failed:
+        # The run still succeeds; only the bp rows, which need both, are missing.
+        click.echo(f"warning: skipped the bp rows: {'; '.join(failed)}", err=True)
     elif run_bp and not result.bp.converged:
         bp = result.bp
         click.echo(f"warning: BP did not converge in {bp.iterations} sweeps (residual "

@@ -22,9 +22,11 @@ from boxprop.measure import (
 )
 from boxprop.measure import _check_single_var, _corner_table
 from boxprop.propagation import (
+    _CYCLE,
     _DEAD_END,
     _INNER,
     _ROOT,
+    _SPENT,
     _TRUNCATED,
     JOINT,
     BpResult,
@@ -401,10 +403,11 @@ def reference_factor_message(reg, rule, fid, keep, kids):
     if box is None:
         f = reg.factors[fid]
         others = [v for v in sorted(f.scope) if v != keep]
+        simplices = all(isinstance(m, int) for m in kids)
         incoming = {
             v: Simplex(v, reg.sizes[v]) if isinstance(m, int) else m for v, m in zip(others, kids)
         }
-        if rule == JOINT and not all(isinstance(s, Simplex) for s in incoming.values()):
+        if rule == JOINT and not simplices:
             boxes = [
                 full_box(v, reg.sizes[v]) if isinstance(incoming[v], Simplex) else incoming[v]
                 for v in f.scope
@@ -413,6 +416,13 @@ def reference_factor_message(reg, rule, fid, keep, kids):
             box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
         else:
             box = bound_sum_product(f, keep, incoming)
+            served = reg.frontier.get((fid, keep)) if simplices else None
+            if served is not None:
+                # Spent walks send the table's box itself, so a frontier message
+                # must be that object for the memo keys upstream to match the engine's.
+                assert served.lower.values.tobytes() == box.lower.values.tobytes()
+                assert served.upper.values.tobytes() == box.upper.values.tobytes()
+                box = served
         reg.memo[key] = box
     return box
 
@@ -491,7 +501,7 @@ def reference_build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTre
         if i and len(end) == start:
             kind[i] = _DEAD_END
     first.append(len(end))
-    return SawTree(root, count, end, prev, kind, first)
+    return SawTree(root, count, end, prev, kind, first, nbrs)
 
 
 def without_dead_walks(t: SawTree, n: int) -> SawTree:
@@ -517,6 +527,77 @@ def without_dead_walks(t: SawTree, n: int) -> SawTree:
         [t.prev[i] for i in kept],
         [kind[i] for i in kept],
         starts,
+        t.nbrs,
+    )
+
+
+def reference_build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
+    """Breadth-first self-avoiding walks with every ``truncated`` marker listed.
+
+    Every walk that is not a leaf is expanded, in the order walks are
+    appended: it extends to each neighbour of its endpoint but the one it
+    came from, in ascending id order. An extension becomes a ``cycle`` leaf
+    when its endpoint is already on the walk, and a ``truncated`` marker once
+    ``max_nodes`` walks that are not markers exist; a walk with no extension
+    is a ``dead_end``. The engine's ``build_saw_tree`` must give this tree
+    with each spent walk's markers removed (see :func:`without_spent_markers`).
+    """
+    if max_nodes < 1:
+        raise ValueError("max_nodes must be >= 1")
+    if not 0 <= root < g.num_variables:
+        raise ValueError(f"root {root} is not a variable of the graph")
+    nbrs = _registry(g).nbrs
+    end, prev, kind, first = [root], [-1], [_ROOT], []
+    on_walk = [1 << root]  # each walk's node set, one bit per bipartite id
+    count = 1
+    for i, u in enumerate(end):
+        start = len(end)
+        first.append(start)
+        if kind[i] in (_CYCLE, _TRUNCATED):
+            continue
+        for w in nbrs[u]:
+            if w == prev[i]:
+                continue
+            end.append(w)
+            prev.append(u)
+            on_walk.append(on_walk[i] | 1 << w)
+            if count < max_nodes:
+                count += 1
+                kind.append(_CYCLE if on_walk[i] >> w & 1 else _INNER)
+            else:
+                kind.append(_TRUNCATED)
+        if i and len(end) == start:
+            kind[i] = _DEAD_END
+    first.append(len(end))
+    return SawTree(root, count, end, prev, kind, first, nbrs)
+
+
+def without_spent_markers(t: SawTree) -> SawTree:
+    """``t`` with each spent walk's ``truncated`` markers removed.
+
+    A spent walk is an ``inner`` walk, not the root, whose children are all
+    markers: the budget was spent before it was expanded. It keeps its entry,
+    with an empty child range and the ``spent`` kind code; ``node_count``
+    stays.
+    """
+    end, kind, first = t.end, t.kind, t.first
+    spent = [
+        i > 0 and kind[i] == _INNER and all(kind[j] == _TRUNCATED for j in range(first[i], first[i + 1]))
+        for i in range(len(end))
+    ]
+    kept, starts = [0], [1]
+    for i in kept:  # breadth-first, so ``kept`` stays in list order
+        kids = () if spent[i] else range(first[i], first[i + 1])
+        kept.extend(kids)
+        starts.append(starts[-1] + len(kids))
+    return SawTree(
+        t.root,
+        t.node_count,
+        [end[i] for i in kept],
+        [t.prev[i] for i in kept],
+        [_SPENT if spent[i] else kind[i] for i in kept],
+        starts,
+        t.nbrs,
     )
 
 

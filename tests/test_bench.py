@@ -186,6 +186,18 @@ def test_compare_failure_becomes_note():
     assert notes[0] == ""
 
 
+def test_compare_keeps_its_rows_when_bp_finds_a_vanishing_product():
+    # Without the exact oracle nothing stops this zero-partition graph before
+    # BP, whose messages into variable 0 multiply to zero: the method rows
+    # stay and the result keeps BP's message instead of its beliefs.
+    g = graph_from([((0, 1), (2, 2), np.ones(4)), ((0,), (2,), (1, 0)), ((0,), (2,), (0, 1))])
+    result = compare(g, {"subtree": 4}, run_bp=True, exact=False)
+    assert result.bp is None
+    assert result.bp_error == "the BP messages into variable 0 multiply to zero"
+    assert [(r.variable, r.note) for r in result.detail_records] == [(0, "ZeroMeasureError"), (1, "")]
+    assert [(r.variable, r.method) for r in result.gap_records] == [(1, "subtree")]
+
+
 def test_compare_determinism_of_summary():
     g = gen_ising_grid(GridSpec(3, 3, 2, 1.0, 13))
     budgets = {"subtree": 300, "sawtree": 300}

@@ -8,6 +8,7 @@ from boxprop import bench as bench_module
 from boxprop import cli as cli_module
 from boxprop import measure, propagation
 from boxprop.cli import main
+from boxprop.errors import CapacityExceededError
 from boxprop.factorgraph import parse_fg, write_fg
 from boxprop.measure import Box, Measure
 from helpers import (
@@ -336,6 +337,32 @@ def test_compare_notes_the_roots_past_the_floating_point_range(tmp_path, capsys,
     assert not recwarn.list
 
 
+def test_compare_bp_skips_the_bp_rows_when_bp_leaves_the_floating_point_range(
+    tmp_path, capsys, recwarn
+):
+    # BP and elimination both leave the range on this file: ``compare --bp``
+    # still exits 0 with the method rows of ``compare`` and one warning line.
+    path = tmp_path / "e308.fg"
+    path.write_text(E308_FG)
+    rows = []
+    for flags in ((), ("--bp",)):
+        details = tmp_path / f"details{len(flags)}.jsonl"
+        code, out, err = run(capsys, "compare", "--in", str(path), *flags, "--details-out", str(details))
+        assert code == 0 and out == "variable,method,gap,time_ms\n"
+        records = [json.loads(line) for line in details.read_text().splitlines()]
+        for r in records:
+            del r["time_ms"]
+        rows.append(records)
+    assert rows[0] == rows[1] and len(rows[0]) == 4
+    assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+        "warning: skipped the bp rows: BP: BP left the floating-point range in sweep 1; "
+        "exact marginals: variable elimination left the floating-point range at the bucket "
+        "of variable 0"
+    ]
+    assert "Traceback" not in err
+    assert not recwarn.list
+
+
 def test_compare_writes_files(triangle_file, tmp_path, capsys):
     summary = tmp_path / "summary.csv"
     details = tmp_path / "details.jsonl"
@@ -483,6 +510,26 @@ def test_compare_bp_says_why_it_skipped_the_bp_rows(tmp_path, capsys, monkeypatc
     assert warnings == [
         "warning: skipped the bp rows: exact marginals: eliminating variable 0 needs a "
         "8-entry table (cap 4)"
+    ]
+
+
+def test_compare_bp_skips_the_bp_rows_when_bp_fails(tmp_path, capsys, monkeypatch):
+    fg = tmp_path / "grid.fg"
+    run(capsys, "gen", "grid", "--rows", "3", "--cols", "3", "--domain", "2",
+        "--beta", "0.2", "--seed", "3", "--out", str(fg))
+    code, plain, _ = run(capsys, "compare", "--methods", "subtree", "--in", str(fg))
+    assert code == 0
+
+    def failing(g):
+        raise CapacityExceededError("BP left the floating-point range in sweep 3")
+
+    monkeypatch.setattr(bench_module, "bp_marginals", failing)
+    code, out, err = run(capsys, "compare", "--methods", "subtree", "--bp", "--in", str(fg))
+    assert code == 0
+    untimed = lambda csv: [line.rsplit(",", 1)[0] for line in csv.splitlines()]
+    assert untimed(out) == untimed(plain) and len(out.splitlines()) == 10
+    assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+        "warning: skipped the bp rows: BP: BP left the floating-point range in sweep 3"
     ]
 
 

@@ -31,6 +31,7 @@ from helpers import (
     random_pairwise_graph,
     random_tree_graph,
     reference_bp_marginals,
+    reference_build_saw_tree,
     reference_build_subtree,
     reference_elimination_order,
     reference_factor_message,
@@ -41,6 +42,7 @@ from helpers import (
     triangle_graph,
     triangle_graph_k_first,
     without_dead_walks,
+    without_spent_markers,
 )
 
 EX1_LOW, EX1_HIGH = 1 / 5, 4 / 5
@@ -251,13 +253,30 @@ def check_flat_layout(tree):
     for i in range(len(end)):
         assert all(prev[j] == end[i] for j in range(first[i], first[i + 1]))
     assert tree.node_count == sum(1 for k in kinds if k != "truncated")
+    # The view in breadth-first order: the lists' walks, each spent walk shown
+    # as ``inner`` over one restored marker (-1 here) per neighbour but its parent.
+    want, queue = [], [0]
+    for i in queue:
+        if i < 0:
+            want.append(("truncated", 0))
+            continue
+        kids = list(range(first[i], first[i + 1]))
+        if kind[i] == propagation._SPENT:
+            assert not kids and kinds[i] == "inner"
+            kids = [-1 for w in tree.nbrs[end[i]] if w != prev[i]]
+        want.append((kinds[i], len(kids)))
+        queue.extend(kids)
     view = tree.root_node
     assert tree.root_node is view
-    nodes = [view]  # the view in breadth-first order
+    assert view_kinds(tree) == want
+
+
+def view_kinds(tree):
+    """The node view in breadth-first order, as (kind, number of children) pairs."""
+    nodes = [tree.root_node]
     for node in nodes:
         nodes.extend(node.children)
-    counts = [b - a for a, b in zip(first, first[1:])]
-    assert [(x.kind, len(x.children)) for x in nodes] == list(zip(kinds, counts))
+    return [(x.kind, len(x.children)) for x in nodes]
 
 
 def test_flat_layout_of_both_builders():
@@ -343,6 +362,50 @@ def test_early_stopping_subtree_builder_on_two_components():
                 assert tree_fields(build_subtree(g, root, budget)) == tree_fields(pruned)
                 cut += len(pruned.end) < len(ref.end)
     assert cut > 0
+
+
+def spent_sweep_graphs():
+    """Seeded graphs with each one's largest full walk tree, or None for the grids.
+
+    Random graphs of arity up to 4, random pairwise graphs, frontier test
+    graphs with zero columns (pairs the frontier table leaves out), and the
+    seed-42 5x5 binary and ternary grids, whose full trees are far too big.
+    """
+    rng = np.random.default_rng(2601)
+    graphs = [random_connected_graph(rng, max_vars=6, max_domain=3, max_arity=4) for _ in range(8)]
+    graphs += [random_pairwise_graph(rng, max_vars=6) for _ in range(8)]
+    graphs += [frontier_test_graph(rng, zeros=True) for _ in range(4)]
+    out = [(g, max(build_saw_tree(g, r, 10**6).node_count for r in range(g.num_variables)))
+           for g in graphs]
+    assert all(full < 10**6 for _, full in out)
+    grids = (gen_ising_grid(GridSpec(5, 5, 2, 1.0, 42)), gen_ternary_grid(GridSpec(5, 5, 3, 1.0, 42)))
+    return out + [(g, None) for g in grids]
+
+
+def test_walk_trees_leave_spent_walks_unexpanded():
+    # A walk reached after the budget is spent lists no markers: the engine's
+    # tree is the reference's without them and with the same ``node_count``,
+    # both rules give the same box bytes (or error type) over both trees, and
+    # the node views are equal node for node.
+    seen = Counter()
+    for g, full in spent_sweep_graphs():
+        n, reg = g.num_variables, propagation._registry(g)
+        budgets = (1, 2, 3, 5, 12, 60, 500) + (() if full is None else (full, full + 1))
+        for root in range(n):
+            for budget in budgets:
+                t = build_saw_tree(g, root, budget)
+                ref = reference_build_saw_tree(g, root, budget)
+                assert tree_fields(t) == tree_fields(without_spent_markers(ref))  # node_count too
+                for rule in (JOINT, FACTORIZED):
+                    assert propagated(g, t, rule)[0] == propagated(g, ref, rule)[0]
+                assert view_kinds(t) == view_kinds(ref)
+                for u, p, k in zip(t.end, t.prev, t.kind):
+                    if k == propagation._SPENT:
+                        seen["spent variable" if u < n else "spent factor"] += 1
+                        seen["left out"] += u >= n and (u - n, p) not in reg.frontier
+                seen["fewer walks"] += len(t.end) < len(ref.end)
+    for case in ("spent variable", "spent factor", "left out", "fewer walks"):
+        assert seen[case] > 0, case
 
 
 # ------------------------------------------------------ SAW-tree propagation
@@ -640,9 +703,9 @@ def box_bytes(m):
 def memo_bytes(reg):
     """Every memo entry with its key's boxes and its box as bytes.
 
-    A set, not a count: the engine's frontier table gives both rules one box
-    object, so the memo holds one variable entry where the reference glue,
-    which computes a box per rule, holds two byte-equal ones.
+    A set: one element per distinct entry in bytes. The reference glue sends
+    the frontier table's own box for a frontier message, as the engine and
+    its spent walks do, so both memos key their children by the same objects.
     """
     return {(tuple(map(box_bytes, key)), box_bytes(box)) for key, box in reg.memo.items()}
 
