@@ -66,6 +66,8 @@ class GridSpec:
             raise ValueError("grid dimensions must be >= 1")
         if self.domain_size not in (2, 3):
             raise ValueError("domain_size must be 2 or 3")
+        if self.domain_size == 3 and self.rows * self.cols == 1:
+            raise ValueError("a 1x1 ternary grid has no edges, so no factors")
         if not self.beta > 0.0:
             raise ValueError("beta must be positive")
 

@@ -154,31 +154,6 @@ class FactorGraph:
         """Ids of factors incident to variable ``i``, in ascending order."""
         return self._var_factors[i]
 
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Each variable's component label and each component's size, cached.
-
-        One breadth-first pass labels components in order of their smallest
-        variable, so variable 0's label is 0; a size counts variables plus
-        factors. Only :func:`validate` reads them; racing threads agree.
-        """
-        label, seen, size = [-1] * self.num_variables, bytearray(self.num_factors), []
-        for s in range(self.num_variables):
-            if label[s] >= 0:
-                continue
-            label[s], queue, nf = len(size), [s], 0
-            for u in queue:
-                for fid in self._var_factors[u]:
-                    if not seen[fid]:
-                        seen[fid] = 1
-                        nf += 1
-                        for w in self.factors[fid].scope:
-                            if label[w] < 0:
-                                label[w] = len(size)
-                                queue.append(w)
-            size.append(len(queue) + nf)
-        return tuple(label), tuple(size)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -206,12 +181,21 @@ def validate(g: FactorGraph) -> list[Violation]:
     """
     out: list[Violation] = []
 
-    label, size = g.components
-    if len(size) > 1:
-        reached = label.count(0)
+    # One breadth-first search from variable 0; every variable lies in a factor.
+    queue, var_seen, factor_seen = [0], bytearray(g.num_variables), bytearray(g.num_factors)
+    var_seen[0] = 1
+    for u in queue:
+        for fid in g.var_factors(u):
+            if not factor_seen[fid]:
+                factor_seen[fid] = 1
+                for w in g.factors[fid].scope:
+                    if not var_seen[w]:
+                        var_seen[w] = 1
+                        queue.append(w)
+    if len(queue) < g.num_variables:
         message = (
-            f"graph is disconnected: reached {reached}/{g.num_variables} variables "
-            f"and {size[0] - reached}/{g.num_factors} factors from variable 0"
+            f"graph is disconnected: reached {len(queue)}/{g.num_variables} variables "
+            f"and {sum(factor_seen)}/{g.num_factors} factors from variable 0"
         )
         out.append(Violation("disconnected", None, None, None, message))
 

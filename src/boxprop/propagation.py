@@ -44,14 +44,14 @@ neighbourhoods many times. The keys rely on ``Box`` staying ``eq=False``, so
 that a box hashes by identity. A miss computes its message from the key alone,
 with no per-factor plan or cached box. A factor whose children all send
 simplices sends a constant, the same under both rules: such frontier messages
-come from one table per graph, bypassing the five traced kernels. A key fixes
-its inputs' bytes and order and the kernels are deterministic, so every bound
-is bit-identical to an unmemoized run.
+come from one table per graph, which answers every pair of a factor and a
+scope variable. A stacked build fills most of it without the five traced
+kernels; a pair it leaves out is bounded by ``bound_sum_product`` when first
+asked for. A key fixes its inputs' bytes and order and the kernels are
+deterministic, so every bound is bit-identical to an unmemoized run.
 
 The registry holding the memo, the table and the cached adjacency is held
-weakly by graph, made on the first root, and dies with the graph. The
-subtree builder counts its nodes in its own join pass; only
-:func:`boxprop.factorgraph.validate` reads ``FactorGraph.components``. A root
+weakly by graph, made on the first root, and dies with the graph. A root
 that starts on a registry whose memo exceeds ``MESSAGE_MEMO_CAP``
 entries per bipartite node clears it in place. The engine is sequential:
 bound the roots of a graph from one thread at a time.
@@ -111,6 +111,26 @@ JOINT = "joint"
 FACTORIZED = "factorized"
 
 
+class _Frontier(dict):
+    """``(fid, keep)`` to the message both rules send when every child is a simplex.
+
+    Made from :func:`frontier_boxes`' table. A pair it leaves out is bounded
+    on first request by ``bound_sum_product`` on simplices, which masks a zero
+    column and raises past the cap or the floating-point range; a box is kept.
+    """
+
+    def __init__(self, factors):
+        super().__init__(frontier_boxes(factors))
+        self.factors = factors
+
+    def __missing__(self, pair: tuple[int, int]) -> Box:
+        fid, keep = pair
+        f = self.factors[fid]
+        sets = {v: Simplex(v, d) for v, d in zip(f.scope, f.sizes) if v != keep}
+        box = self[pair] = bound_sum_product(f, keep, sets)
+        return box
+
+
 class _Registry:
     """One graph's message memo, its adjacency and its constant messages.
 
@@ -119,8 +139,8 @@ class _Registry:
     leading ``str`` keeps the two kinds apart, and its children follow the
     factor's other scope variables in ascending order. Bipartite node ``i`` is
     variable ``i``, or factor ``i - num_variables``; ``nbrs[i]`` lists its
-    neighbours in ascending id order. ``frontier`` maps ``(fid, keep)`` to the
-    message both rules send when every child is a simplex.
+    neighbours in ascending id order. ``frontier`` is the :class:`_Frontier`
+    table, built on first use.
     """
 
     def __init__(self, g: FactorGraph):
@@ -133,9 +153,8 @@ class _Registry:
         ) + tuple(tuple(sorted(f.scope)) for f in g.factors)
 
     @cached_property
-    def frontier(self) -> dict[tuple[int, int], Box]:
-        """The ``(fid, keep)`` pairs' ``frontier_boxes``, built on the first frontier miss."""
-        return frontier_boxes(self.factors)
+    def frontier(self) -> _Frontier:
+        return _Frontier(self.factors)
 
 
 _REGISTRIES: "WeakKeyDictionary[FactorGraph, _Registry]" = WeakKeyDictionary()
@@ -168,26 +187,27 @@ def _factor_message(
     """The box factor ``fid`` sends to ``keep`` under ``rule``, computed on a miss.
 
     ``kids`` holds the messages of the other scope variables in ascending
-    variable order. The ``JOINT`` rule encloses them, in scope order, in one
-    joint box (a simplex becomes the [0,1] box on its variable) and enumerates
-    its corners; the ``FACTORIZED`` rule enumerates each set's extreme points
-    separately. With simplices only, both rules send the factorized box, as
-    the joint corner images are convex combinations of the factor's columns;
-    the frontier table holds most. With one child, both rules compute
+    variable order. With simplices only, both rules send the frontier table's
+    box, as the joint corner images are convex combinations of the factor's
+    columns. Otherwise the ``JOINT`` rule encloses them, in scope order, in
+    one joint box (a simplex becomes the [0,1] box on its variable) and
+    enumerates its corners; the ``FACTORIZED`` rule enumerates each set's
+    extreme points separately. With one child, both rules compute
     ``f.matrices[keep] @ corners.T`` from the same corner matrix, so they send
     the same bytes.
     """
     f = reg.factors[fid]
-    others = [v for v in f.scope if v != keep]
-    sent = dict(zip(sorted(others), kids))
-    simplices_only = all(type(m) is int for m in kids)
-    box = reg.frontier.get((fid, keep)) if simplices_only else None
-    if rule == JOINT and not simplices_only:
-        boxes = [full_box(v, reg.sizes[v]) if type(sent[v]) is int else sent[v] for v in others]
-        box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
-    elif box is None:
-        sets = {v: Simplex(v, reg.sizes[v]) if type(m) is int else m for v, m in sent.items()}
-        box = bound_sum_product(f, keep, sets)
+    if all(type(m) is int for m in kids):
+        box = reg.frontier[fid, keep]
+    else:
+        others = [v for v in f.scope if v != keep]
+        sent = dict(zip(sorted(others), kids))
+        if rule == JOINT:
+            boxes = [full_box(v, reg.sizes[v]) if type(sent[v]) is int else sent[v] for v in others]
+            box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
+        else:
+            sets = {v: Simplex(v, reg.sizes[v]) if type(m) is int else m for v, m in sent.items()}
+            box = bound_sum_product(f, keep, sets)
     reg.memo[(rule, fid, keep) + kids] = box
     return box
 
@@ -274,12 +294,11 @@ def _propagate(reg: _Registry, t: SawTree, rule: str) -> Box:
     variable it reaches: its endpoint, or its parent's when it ends at a factor.
     A variable with a simplex child sends its own simplex, so a spent variable
     does. A spent factor's markers would all send simplices, so it sends its
-    frontier message, read from the frontier table; only for a pair the table
-    leaves out does it take the memo path, under the key its markers would
-    have made. Memo hits are read here; only a miss calls the message
-    functions. The root's belief is the vacuous [0,1] box when it has no
-    children or one sends a simplex; else the product of its incoming boxes
-    is normalized corner by corner and enclosed in its smallest bounding box.
+    frontier message, read from the frontier table, which answers every pair.
+    Memo hits are read here; only a miss calls the message functions. The
+    root's belief is the vacuous [0,1] box when it has no children or one
+    sends a simplex; else the product of its incoming boxes is normalized
+    corner by corner and enclosed in its smallest bounding box.
     """
     n = reg.num_variables
     end, prev, kind, first = t.end, t.prev, t.kind, t.first
@@ -288,20 +307,10 @@ def _propagate(reg: _Registry, t: SawTree, rule: str) -> Box:
     for i in range(len(end) - 1, 0, -1):
         u = end[i]
         if kind[i] >= _CYCLE:
-            if u < n:
-                msg[i] = u
-                continue
-            if kind[i] < _SPENT:
-                msg[i] = prev[i]
-                continue
-            m = reg.frontier.get((u - n, prev[i]))
-            if m is not None:
-                msg[i] = m
-                continue
-            # A pair the table leaves out: the simplices its markers would send.
-            kids = tuple(w for w in reg.nbrs[u] if w != prev[i])
-        else:
-            kids = tuple(msg[first[i] : first[i + 1]])
+            msg[i] = (u if u < n else prev[i] if kind[i] < _SPENT
+                      else reg.frontier[u - n, prev[i]])
+            continue
+        kids = tuple(msg[first[i] : first[i + 1]])
         if u >= n:
             m = hit((rule, u - n, prev[i]) + kids)
             msg[i] = _factor_message(reg, rule, u - n, prev[i], kids) if m is None else m
@@ -342,8 +351,9 @@ def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     """
     nbrs = _builder_registry(g, root, max_nodes).nbrs
     end, prev, kind, first = [root], [-1], [_ROOT], []
-    # Each walk's node set as a bitmask; a node gets its bit at its first
-    # visit (the root 1, then 2, 4, ...), so masks grow with the tree only.
+    # Each counted walk's node set as a bitmask (a marker is never expanded,
+    # so it has none); a node gets its bit at its first visit (the root 1,
+    # then 2, 4, ...), so masks grow with the tree only.
     bit = [0] * len(nbrs)
     bit[root] = top = 1
     on_walk = [1]
@@ -368,7 +378,6 @@ def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
                 on_walk.append(mask | b)
                 kind.append(_CYCLE if mask & b else _INNER if len(nbrs[w]) > 1 else _DEAD_END)
             else:
-                on_walk.append(0)  # a marker is never expanded, so its mask is never read
                 kind.append(_TRUNCATED)
     # Walks from ``spent`` on came after the budget was spent: no children.
     spent = len(first)

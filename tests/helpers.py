@@ -416,10 +416,10 @@ def reference_factor_message(reg, rule, fid, keep, kids):
             box = bound_sum_product_joint(f, keep, box_product_disjoint_sbb(boxes))
         else:
             box = bound_sum_product(f, keep, incoming)
-            served = reg.frontier.get((fid, keep)) if simplices else None
-            if served is not None:
+            if simplices:
                 # Spent walks send the table's box itself, so a frontier message
                 # must be that object for the memo keys upstream to match the engine's.
+                served = reg.frontier[fid, keep]
                 assert served.lower.values.tobytes() == box.lower.values.tobytes()
                 assert served.upper.values.tobytes() == box.upper.values.tobytes()
                 box = served
@@ -431,12 +431,21 @@ def reference_validate(g: FactorGraph) -> list[Violation]:
     """``validate`` as a loop over factors, one table at a time, summing each slice."""
     out: list[Violation] = []
 
-    label, size = g.components
-    if len(size) > 1:
-        reached = label.count(0)
+    n = g.num_variables
+    nbrs = [[n + fid for fid in g.var_factors(v)] for v in range(n)]
+    nbrs += [list(f.scope) for f in g.factors]
+    reached = {0}
+    stack = [0]
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    variables = sum(1 for u in reached if u < n)
+    if variables < n:
         message = (
-            f"graph is disconnected: reached {reached}/{g.num_variables} variables "
-            f"and {size[0] - reached}/{g.num_factors} factors from variable 0"
+            f"graph is disconnected: reached {variables}/{n} variables "
+            f"and {len(reached) - variables}/{g.num_factors} factors from variable 0"
         )
         out.append(Violation("disconnected", None, None, None, message))
 

@@ -117,6 +117,18 @@ def test_gen_grid_refuses_bad_options_before_generating(tmp_path, capsys, monkey
     assert not fg.exists()
 
 
+def test_gen_grid_refuses_a_one_cell_ternary_grid(tmp_path, capsys, monkeypatch):
+    # A ternary grid has pairwise factors only, so one cell would have none.
+    monkeypatch.setattr(cli_module, "gen_ternary_grid", graph_never_generated)
+    fg = tmp_path / "g.fg"
+    code, out, err = run(
+        capsys, "gen", "grid", "--rows", "1", "--cols", "1", "--domain", "3", "--out", str(fg),
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines()[1:] == ["error: a 1x1 ternary grid has no edges, so no factors"]
+    assert not fg.exists()
+
+
 def test_bound_sawtree_serves_a_wide_frontier_message(tmp_path, capsys):
     # The root's 4-ary ternary factor sends a frontier message over 27 other
     # states; the joint rule used to enumerate 2**27 corners and exit 2.

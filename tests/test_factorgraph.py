@@ -316,10 +316,17 @@ def test_components_match_a_plain_search():
         # Renumber the variables so that components interleave.
         perm = rng.permutation(offset)
         g = graph_from([(tuple(int(perm[v]) for v in s), d, t) for s, d, t in tables])
-        label, size = g.components
-        assert (label, size) == _bfs_components(g)
-        assert label[0] == 0
+        label, size = _bfs_components(g)
         assert sum(size) == g.num_variables + g.num_factors
+        disconnected = [v.message for v in validate(g) if v.kind == "disconnected"]
+        if len(size) > 1:
+            reached = label.count(0)
+            assert disconnected == [
+                f"graph is disconnected: reached {reached}/{g.num_variables} variables "
+                f"and {size[0] - reached}/{g.num_factors} factors from variable 0"
+            ]
+        else:
+            assert disconnected == []
         seen.add(len(size))
     assert seen == {1, 2, 3}
 

@@ -368,7 +368,7 @@ def spent_sweep_graphs():
     """Seeded graphs with each one's largest full walk tree, or None for the grids.
 
     Random graphs of arity up to 4, random pairwise graphs, frontier test
-    graphs with zero columns (pairs the frontier table leaves out), and the
+    graphs with zero columns (pairs the stacked build leaves out), and the
     seed-42 5x5 binary and ternary grids, whose full trees are far too big.
     """
     rng = np.random.default_rng(2601)
@@ -389,7 +389,7 @@ def test_walk_trees_leave_spent_walks_unexpanded():
     # the node views are equal node for node.
     seen = Counter()
     for g, full in spent_sweep_graphs():
-        n, reg = g.num_variables, propagation._registry(g)
+        n, stacked = g.num_variables, measure.frontier_boxes(g.factors)
         budgets = (1, 2, 3, 5, 12, 60, 500) + (() if full is None else (full, full + 1))
         for root in range(n):
             for budget in budgets:
@@ -402,7 +402,7 @@ def test_walk_trees_leave_spent_walks_unexpanded():
                 for u, p, k in zip(t.end, t.prev, t.kind):
                     if k == propagation._SPENT:
                         seen["spent variable" if u < n else "spent factor"] += 1
-                        seen["left out"] += u >= n and (u - n, p) not in reg.frontier
+                        seen["left out"] += u >= n and (u - n, p) not in stacked
                 seen["fewer walks"] += len(t.end) < len(ref.end)
     for case in ("spent variable", "spent factor", "left out", "fewer walks"):
         assert seen[case] > 0, case
@@ -802,8 +802,8 @@ def frontier_test_graph(rng, zeros):
 
 
 def test_frontier_table_equals_the_per_message_kernels(monkeypatch):
-    # Every frontier table entry must be byte-equal to ``bound_sum_product``
-    # on simplex children, and every pair left out must be one whose call
+    # Every entry of the stacked build must be byte-equal to ``bound_sum_product``
+    # on simplex children, and every pair it leaves out must be one whose call
     # raises or masks a zero column; the engine's message under either rule
     # must be that call's box or error. Wherever ``bound_sum_product_joint`` on
     # the [0,1] box succeeds, the entry lies inside its box with zero slack:
@@ -873,6 +873,84 @@ def test_frontier_table_equals_the_per_message_kernels(monkeypatch):
                  (8, "joint past the cap"), (default, "joint past the cap")):
         assert seen[case] > 0, case
     assert seen[8, ZeroMeasureError] > 0 and seen[default, ZeroMeasureError] > 0
+
+
+def masked_frontier_root():
+    """A seeded frontier test graph and a root with a zero column among its frontier pairs.
+
+    Every pair of a factor and the root succeeds in ``bound_sum_product`` on
+    simplices, and the stacked build leaves out at least one, listed.
+    """
+    rng = np.random.default_rng(2702)
+    while True:
+        g = frontier_test_graph(rng, zeros=True)
+        stacked = measure.frontier_boxes(g.factors)
+        for root in range(g.num_variables):
+            left_out = [(fid, root) for fid in g.var_factors(root) if (fid, root) not in stacked]
+            if left_out and all(g.factors[fid].matrices[root].any(axis=0).any()
+                                for fid in g.var_factors(root)):
+                return g, root, left_out
+
+
+def test_the_frontier_table_answers_a_pair_its_build_leaves_out(monkeypatch):
+    # A zero column leaves a pair out of the stacked build; its first request
+    # calls ``bound_sum_product`` on simplices, which masks the column, and
+    # keeps that box. Under either rule a second request, the inner factor
+    # walks of a subtree and the spent ones of a walk tree get that object
+    # (the root's product receives it).
+    g, root, left_out = masked_frontier_root()
+    calls = counting(monkeypatch, "bound_sum_product")
+    product, sent = propagation.box_product_same_scope, []
+    monkeypatch.setattr(propagation, "box_product_same_scope",
+                        lambda kids: sent.append(kids) or product(kids))
+    budget = 1 + len(g.var_factors(root))
+    for rule in (JOINT, FACTORIZED):
+        copy = fresh_copy(g)
+        reg = propagation._registry(copy)
+        calls[0] = 0
+        for fid, keep in left_out:
+            f = copy.factors[fid]
+            sets = {v: Simplex(v, d) for v, d in zip(f.scope, f.sizes) if v != keep}
+            want = measure.bound_sum_product(f, keep, sets)
+            kids = tuple(sorted(v for v in f.scope if v != keep))
+            box = propagation._factor_message(reg, rule, fid, keep, kids)
+            assert box.lower.values.tobytes() == want.lower.values.tobytes()
+            assert box.upper.values.tobytes() == want.upper.values.tobytes()
+            assert reg.frontier[fid, keep] is box
+            assert propagation._factor_message(reg, rule, fid, keep, kids) is box
+        assert calls[0] == len(left_out)
+        served = [reg.frontier[fid, root] for fid in copy.var_factors(root)]
+        for build, walk_kind in ((build_subtree, propagation._INNER),
+                                 (build_saw_tree, propagation._SPENT)):
+            t = build(copy, root, budget)
+            n = copy.num_variables
+            kinds = {t.end[i] - n: t.kind[i] for i in range(t.first[0], t.first[1])}
+            assert all(kinds[fid] == walk_kind for fid, _ in left_out)
+            sent.clear()
+            propagation._propagate(reg, t, rule)
+            assert len(sent) == 1 and all(a is b for a, b in zip(sent[0], served, strict=True))
+        assert calls[0] == len(left_out)
+
+
+def test_a_frontier_pair_past_the_cap_raises(monkeypatch):
+    # At a cap of four the 3-ary factor's pairs (six or nine columns) are left
+    # out, and each request raises without keeping anything; a root whose
+    # tree sends one of them fails, a root whose tree sends only the pairwise
+    # factor's (two or three columns) does not.
+    monkeypatch.setattr(measure, "ENUMERATION_CAP", 4)
+    rng = np.random.default_rng(2703)
+    g = graph_from([((0, 1, 2), (3, 2, 3), rng.uniform(0.1, 2.0, 18)),
+                    ((2, 3), (3, 2), rng.uniform(0.1, 2.0, 6))])
+    reg = propagation._registry(g)
+    assert set(reg.frontier) == {(1, 2), (1, 3)}
+    for keep in (0, 1, 2, 1):
+        with pytest.raises(CapacityExceededError, match="exceed the cap of 4"):
+            reg.frontier[0, keep]
+    assert set(reg.frontier) == {(1, 2), (1, 3)}
+    for method in ("sawtree", "subtree"):
+        with pytest.raises(CapacityExceededError):
+            run_method(g, method, 0, 2)
+        assert run_method(g, method, 3, 2).box is not None
 
 
 def test_frontier_messages_enumerate_no_corners():
