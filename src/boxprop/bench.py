@@ -16,7 +16,7 @@ from time import perf_counter
 import numpy as np
 
 from .errors import CapacityExceededError, ZeroMeasureError
-from .factorgraph import Factor, FactorGraph
+from .factorgraph import TABLE_CAP, Factor, FactorGraph
 from .measure import Box
 from .propagation import (
     BoundResult,
@@ -70,6 +70,13 @@ class GridSpec:
             raise ValueError("a 1x1 ternary grid has no edges, so no factors")
         if not self.beta > 0.0:
             raise ValueError("beta must be positive")
+        # Refused before anything is allocated: no .fg file can hold such tables.
+        rows, cols, d = self.rows, self.cols, self.domain_size
+        edges = 2 * rows * cols - rows - cols
+        entries = 9 * edges if d == 3 else 2 * rows * cols + 4 * edges
+        if entries > TABLE_CAP:
+            raise ValueError(f"a {rows}x{cols} grid of domain {d} has {entries} table entries, "
+                             f"above the .fg cap {TABLE_CAP}")
 
 
 def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:

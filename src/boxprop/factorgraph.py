@@ -106,7 +106,9 @@ class FactorGraph:
     """Immutable bipartite graph of variables and factors.
 
     Variable ids must be dense and 0-based; domain sizes must agree wherever a
-    variable occurs. Adjacency is built both ways at construction.
+    variable occurs. ``nbrs`` is the bipartite adjacency: node ``v`` is variable
+    ``v``, node ``num_variables + fid`` is factor ``fid``, and ``nbrs[i]``
+    lists node ``i``'s neighbours in ascending order.
     """
 
     def __init__(self, factors: Sequence[Factor]):
@@ -133,11 +135,16 @@ class FactorGraph:
         self.factors: tuple[Factor, ...] = tuple(factors)
         # Domain size of each variable, by id.
         self.sizes: tuple[int, ...] = tuple(sizes[i] for i in range(n))
-        nb: list[list[int]] = [[] for _ in range(n)]
+        ids: list[list[int]] = [[] for _ in range(n)]
+        nodes: list[list[int]] = [[] for _ in range(n)]
         for f in factors:
             for v in f.scope:
-                nb[v].append(f.id)
-        self._var_factors: tuple[tuple[int, ...], ...] = tuple(tuple(ids) for ids in nb)
+                ids[v].append(f.id)
+                nodes[v].append(n + f.id)
+        self._var_factors: tuple[tuple[int, ...], ...] = tuple(map(tuple, ids))
+        self.nbrs: tuple[tuple[int, ...], ...] = tuple(map(tuple, nodes)) + tuple(
+            tuple(sorted(f.scope)) for f in factors
+        )
 
     @property
     def num_variables(self) -> int:
@@ -181,21 +188,19 @@ def validate(g: FactorGraph) -> list[Violation]:
     """
     out: list[Violation] = []
 
-    # One breadth-first search from variable 0; every variable lies in a factor.
-    queue, var_seen, factor_seen = [0], bytearray(g.num_variables), bytearray(g.num_factors)
-    var_seen[0] = 1
+    # One breadth-first search over ``nbrs`` from variable 0.
+    n, nbrs = g.num_variables, g.nbrs
+    queue, seen = [0], bytearray(len(nbrs))
+    seen[0] = 1
     for u in queue:
-        for fid in g.var_factors(u):
-            if not factor_seen[fid]:
-                factor_seen[fid] = 1
-                for w in g.factors[fid].scope:
-                    if not var_seen[w]:
-                        var_seen[w] = 1
-                        queue.append(w)
-    if len(queue) < g.num_variables:
+        for w in nbrs[u]:
+            if not seen[w]:
+                seen[w] = 1
+                queue.append(w)
+    if len(queue) < len(nbrs):
         message = (
-            f"graph is disconnected: reached {len(queue)}/{g.num_variables} variables "
-            f"and {sum(factor_seen)}/{g.num_factors} factors from variable 0"
+            f"graph is disconnected: reached {sum(seen[:n])}/{n} variables "
+            f"and {sum(seen[n:])}/{g.num_factors} factors from variable 0"
         )
         out.append(Violation("disconnected", None, None, None, message))
 

@@ -7,34 +7,29 @@ self-avoiding walks starting at the root. Because both trees embed into the
 computation tree that loopy belief propagation unrolls, the same boxes also
 contain any converged loopy BP belief for the root.
 
-Loopy BP and two exact-inference engines (brute-force enumeration and variable
-elimination) are included as oracles for checking those containment claims.
-Variable elimination gives every marginal from one upward and one downward
-pass over the bucket tree of a greedy elimination order, one message each way
-per tree edge. The oracles' products and sums of dense tables are private
-helpers here. The oracles, BP and both bound methods turn a numpy overflow
-into a :class:`CapacityExceededError` saying where it happened. BP holds its
-messages in one ``(edges, d)`` array per domain size and direction, contracts
-all edges of one table shape and position together (one stacked matrix
-product per contraction and sweep), and returns the same bytes as a plain
-per-edge loop would. See :func:`exact_marginals` and
-:func:`bp_marginals`, whose defaults are ``BP_TOL``, ``BP_MAX_ITER`` and
-``BP_DAMPING``, the defaults of ``boxprop bp`` too.
+Loopy BP (:func:`bp_marginals`) and two exact-inference engines (brute-force
+enumeration and variable elimination, :func:`exact_marginals`) are included
+as oracles for checking those containment claims; their products and sums of
+dense tables are private helpers here. The oracles, BP and both bound methods
+turn a numpy overflow into a :class:`CapacityExceededError` saying where it
+happened. ``BP_TOL``, ``BP_MAX_ITER`` and ``BP_DAMPING`` are the defaults of
+:func:`bp_marginals` and of ``boxprop bp``.
 
 Both methods are one engine, a method being a pair of a walk-tree builder and
 a factor rule. A :class:`SawTree` is flat: int lists of endpoints, parent
 endpoints, kind codes and child-range starts in breadth-first order, so one
-reverse loop over them sends every message. Each method has one builder: the
-walk-tree method propagates :func:`build_saw_tree`'s tree with the joint rule,
-the subtree method :func:`build_subtree`'s with the factorized rule. The
-walk-tree builder stops expanding once its budget is spent: a later walk
-lists no children, and one that would have had some (all ``truncated``
-markers) is *spent*, sending what its markers would have made it send, its
-own simplex from a variable and its frontier message from a factor. The
-linked ``SawNode`` view (``SawTree.root_node``, not exported) holds only each
-walk's kind and children, with each spent walk's markers restored, is built
-on first access, and is read by the benchmark tracer's walk counts, never by
-the engine.
+reverse loop over them sends every message. The walk-tree method propagates
+:func:`build_saw_tree`'s tree with the joint rule, the subtree method
+:func:`build_subtree`'s with the factorized rule. Both builders read only the
+graph's adjacency, ``FactorGraph.nbrs``, and list walks by one set of rules:
+a walk to a node with no other neighbour is a ``dead_end`` when listed, and a
+walk whose message is fixed before its children are listed is *spent* and
+lists none (a variable sends its own simplex, a factor its frontier message).
+In a walk tree that is each walk past the budget that is not a leaf; in a
+subtree, each variable with an edge leaving the tree. The linked ``SawNode``
+view (``SawTree.root_node``, not exported) holds each walk's kind and
+children, with a spent walk's markers restored; it is built on first access
+and read only by the benchmark tracer's walk counts.
 
 A message is the int ``v``, standing for the simplex on variable ``v``, or a
 :class:`Box`. One memo, keyed on a variable and its children's messages or on
@@ -50,11 +45,10 @@ kernels; a pair it leaves out is bounded by ``bound_sum_product`` when first
 asked for. A key fixes its inputs' bytes and order and the kernels are
 deterministic, so every bound is bit-identical to an unmemoized run.
 
-The registry holding the memo, the table and the cached adjacency is held
-weakly by graph, made on the first root, and dies with the graph. A root
-that starts on a registry whose memo exceeds ``MESSAGE_MEMO_CAP``
-entries per bipartite node clears it in place. The engine is sequential:
-bound the roots of a graph from one thread at a time.
+The registry holding the memo and the frontier table is held weakly by graph,
+made on a root's first bound, and dies with the graph. A bound that starts on
+a registry whose memo exceeds ``MESSAGE_MEMO_CAP`` entries per bipartite node
+clears it in place. Bound the roots of a graph from one thread at a time.
 """
 
 from __future__ import annotations
@@ -132,25 +126,20 @@ class _Frontier(dict):
 
 
 class _Registry:
-    """One graph's message memo, its adjacency and its constant messages.
+    """One graph's message memo and its constant messages.
 
     ``memo`` maps a variable key ``(v, *child messages)`` or a factor key
     ``(rule, fid, keep, *child messages)`` to the box sent; a factor key's
     leading ``str`` keeps the two kinds apart, and its children follow the
-    factor's other scope variables in ascending order. Bipartite node ``i`` is
-    variable ``i``, or factor ``i - num_variables``; ``nbrs[i]`` lists its
-    neighbours in ascending id order. ``frontier`` is the :class:`_Frontier`
-    table, built on first use.
+    factor's other scope variables in ascending order. ``frontier`` is the
+    :class:`_Frontier` table, built on first use.
     """
 
     def __init__(self, g: FactorGraph):
-        self.num_variables = n = g.num_variables
+        self.num_variables = g.num_variables
         self.factors = g.factors
         self.sizes = g.sizes
         self.memo: dict[tuple, Box] = {}
-        self.nbrs: tuple[tuple[int, ...], ...] = tuple(
-            tuple(n + fid for fid in g.var_factors(v)) for v in range(n)
-        ) + tuple(tuple(sorted(f.scope)) for f in g.factors)
 
     @cached_property
     def frontier(self) -> _Frontier:
@@ -165,7 +154,7 @@ def _registry(g: FactorGraph) -> _Registry:
     reg = _REGISTRIES.get(g)
     if reg is None:
         reg = _REGISTRIES[g] = _Registry(g)
-    elif len(reg.memo) > MESSAGE_MEMO_CAP * len(reg.nbrs):
+    elif len(reg.memo) > MESSAGE_MEMO_CAP * len(g.nbrs):
         reg.memo.clear()
     return reg
 
@@ -250,14 +239,14 @@ class SawTree:
     Walk ``i`` ends at bipartite node ``end[i]`` (variable ``v`` is ``v``,
     factor ``fid`` is the graph's ``num_variables + fid``); ``prev[i]`` is the
     endpoint of its parent walk (-1 for the root, walk 0); ``kind[i]`` indexes
-    ``_KINDS``: root, inner, dead_end, cycle, truncated, or spent (an inner
-    walk the walk-tree builder reached after its budget was spent, which
-    lists none of the ``truncated`` markers that would be its children); and
-    its children are the walks ``first[i]:first[i + 1]``, in ascending
-    endpoint order. ``node_count`` counts the nodes the builder spent its
-    budget on: in a walk tree the walks that are not markers, in a subtree
-    the nodes its join pass joins, the unlisted ones below a marker's parent
-    too. ``nbrs`` is the registry's adjacency (not a copy). These lists are
+    ``_KINDS``: root, inner, dead_end, cycle, truncated, or spent (listed
+    with no children: in a walk tree an inner walk past the budget, in a
+    subtree a variable with an edge leaving the tree); and its children are
+    the walks ``first[i]:first[i + 1]``, in ascending endpoint order.
+    ``node_count`` counts the nodes the builder spent its budget on: in a
+    walk tree the walks that are not markers, in a subtree the nodes its join
+    pass joins, those left unlisted below a variable with a marker child too.
+    ``nbrs`` is the graph's adjacency, ``FactorGraph.nbrs``. These lists are
     the tree; ``root_node`` is a view of them.
     """
 
@@ -325,13 +314,12 @@ def _propagate(reg: _Registry, t: SawTree, rule: str) -> Box:
     return normalized_corner_box(box_product_same_scope(kids))
 
 
-def _builder_registry(g: FactorGraph, root: int, max_nodes: int) -> _Registry:
-    """The graph's registry, once ``root`` and ``max_nodes`` pass the builders' checks."""
+def _check_build(g: FactorGraph, root: int, max_nodes: int) -> None:
+    """Raise ``ValueError`` unless ``root`` and ``max_nodes`` pass the builders' checks."""
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
     if not 0 <= root < g.num_variables:
         raise ValueError(f"root {root} is not a variable of the graph")
-    return _registry(g)
 
 
 def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
@@ -349,7 +337,8 @@ def build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     at 5,000 nodes the 25 roots list 125,030 walks (binary) and 125,003
     (ternary), where listing every marker gave 163,177 and 171,953.
     """
-    nbrs = _builder_registry(g, root, max_nodes).nbrs
+    _check_build(g, root, max_nodes)
+    nbrs = g.nbrs
     end, prev, kind, first = [root], [-1], [_ROOT], []
     # Each counted walk's node set as a bitmask (a marker is never expanded,
     # so it has none); a node gets its bit at its first visit (the root 1,
@@ -393,16 +382,17 @@ def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
     joins the tree when first reached, unless ``max_nodes`` nodes already
     have, so nodes join in ascending id order and the result is deterministic
     for a given graph and budget. ``node_count`` is the number that join. The
-    walks are then listed as :func:`build_saw_tree` lists them: an edge from
-    a tree node to the node it joined is an ``inner`` walk, and every other
-    edge leaving it, except the one back to its parent, becomes a
-    ``truncated`` marker that sends a simplex. A variable with a marker child
-    sends its own simplex, so it lists only its markers: the nodes it joined,
-    and all below them, send nothing that can reach the root. On pairwise
-    factor graphs the joint rule of :func:`boxprop_sawtree` gives the same
-    box over this tree as the factorized rule of :func:`boxprop_subtree`.
+    walks are then listed by :func:`build_saw_tree`'s rules: an edge from a
+    tree node to a node it joined is a walk (a ``dead_end`` if that node has
+    no other neighbour), and every other edge but the one to its parent is a
+    ``truncated`` marker. A marker makes a variable send its own simplex, so
+    a joined variable with an edge leaving the tree is *spent*, listed with no
+    children, and a root with one lists only its markers. On pairwise factor
+    graphs the joint rule of :func:`boxprop_sawtree` gives the same box over
+    this tree as the factorized rule of :func:`boxprop_subtree`.
     """
-    n, nbrs = g.num_variables, _builder_registry(g, root, max_nodes).nbrs
+    _check_build(g, root, max_nodes)
+    n, nbrs = g.num_variables, g.nbrs
     # ``parent[w]``: the node that joined ``w`` (-1 if none; the root is its
     # own); ``cut[v]``: whether variable ``v`` has a marker child.
     parent = [-1] * len(nbrs)
@@ -428,9 +418,10 @@ def build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTree:
                 continue
             end.append(w)
             prev.append(u)
-            kind.append(_INNER if parent[w] == u else _TRUNCATED)
-        if i and len(end) == first[i]:
-            kind[i] = _DEAD_END
+            if parent[w] != u:
+                kind.append(_TRUNCATED)
+            else:
+                kind.append(_SPENT if cut[w] else _INNER if len(nbrs[w]) > 1 else _DEAD_END)
     first.append(len(end))
     return SawTree(root, len(joined), end, prev, kind, first, nbrs)
 
@@ -708,14 +699,8 @@ def _elimination_order(g: FactorGraph) -> list[int]:
     skipped. A popped weight is the size of that variable's bucket clique (it
     and its live neighbours), so the cap is checked here.
     """
-    n = g.num_variables
-    size_of = g.sizes
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for f in g.factors:
-        for a in f.scope:
-            neighbors[a].update(f.scope)
-    for i, ns in enumerate(neighbors):
-        ns.discard(i)
+    n, nbrs, size_of = g.num_variables, g.nbrs, g.sizes
+    neighbors = [{w for fn in nbrs[v] for w in nbrs[fn] if w != v} for v in range(n)]
     weight = [size_of[v] * prod(size_of[u] for u in neighbors[v]) for v in range(n)]
     heap = [(w, v) for v, w in enumerate(weight)]
     heapify(heap)

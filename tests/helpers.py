@@ -32,7 +32,6 @@ from boxprop.propagation import (
     BpResult,
     SawTree,
     _padded,
-    _registry,
 )
 
 
@@ -479,13 +478,14 @@ def reference_build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTre
     budget. Every other edge leaving a tree node, except the one back to its
     parent, becomes a ``truncated`` marker and sends a simplex. ``node_count``
     counts the tree's nodes. The engine's ``build_subtree`` must give this
-    tree with every walk below a variable that has a marker child removed.
+    tree with each variable that has a marker child spent (see
+    :func:`without_dead_walks`).
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
     if not 0 <= root < g.num_variables:
         raise ValueError(f"root {root} is not a variable of the graph")
-    nbrs = _registry(g).nbrs
+    nbrs = g.nbrs
     end, prev, kind, first = [root], [-1], [_ROOT], []
     # The tree's node set as one bitmask over bipartite ids.
     in_tree = 1 << root
@@ -514,19 +514,22 @@ def reference_build_subtree(g: FactorGraph, root: int, max_nodes: int) -> SawTre
 
 
 def without_dead_walks(t: SawTree, n: int) -> SawTree:
-    """``t`` without the walks below a variable that has a ``truncated`` child.
+    """``t`` with each variable that has a ``truncated`` child cut down.
 
     ``n`` is the graph's number of variables: endpoints below it are
     variables. Such a variable sends its simplex whatever its other children
-    send, so nothing below them reaches the root. The markers stay;
-    ``node_count`` too.
+    send, so nothing below them reaches the root: under the root only the
+    markers stay, and any other such variable becomes a childless ``spent``
+    walk. ``node_count`` stays.
     """
     end, kind, first = t.end, t.kind, t.first
+    cut = [end[i] < n and any(kind[j] == _TRUNCATED for j in range(first[i], first[i + 1]))
+           for i in range(len(end))]
     kept, starts = [0], [1]
     for i in kept:  # breadth-first, so ``kept`` stays in list order
         kids = range(first[i], first[i + 1])
-        if end[i] < n and any(kind[j] == _TRUNCATED for j in kids):
-            kids = [j for j in kids if kind[j] == _TRUNCATED]
+        if cut[i]:
+            kids = [j for j in kids if kind[j] == _TRUNCATED] if i == 0 else ()
         kept.extend(kids)
         starts.append(starts[-1] + len(kids))
     return SawTree(
@@ -534,7 +537,7 @@ def without_dead_walks(t: SawTree, n: int) -> SawTree:
         t.node_count,
         [end[i] for i in kept],
         [t.prev[i] for i in kept],
-        [kind[i] for i in kept],
+        [_SPENT if cut[i] and i else kind[i] for i in kept],
         starts,
         t.nbrs,
     )
@@ -555,7 +558,7 @@ def reference_build_saw_tree(g: FactorGraph, root: int, max_nodes: int) -> SawTr
         raise ValueError("max_nodes must be >= 1")
     if not 0 <= root < g.num_variables:
         raise ValueError(f"root {root} is not a variable of the graph")
-    nbrs = _registry(g).nbrs
+    nbrs = g.nbrs
     end, prev, kind, first = [root], [-1], [_ROOT], []
     on_walk = [1 << root]  # each walk's node set, one bit per bipartite id
     count = 1

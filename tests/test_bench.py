@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from boxprop import bench as bench_module
 from boxprop.bench import (
     DetailRecord,
     GapRecord,
@@ -98,7 +99,7 @@ def test_generators_refuse_overflowing_beta():
                 maker(GridSpec(3, 3, dom, 800.0, 0))
 
 
-def test_grid_spec_validation():
+def test_grid_spec_validation(monkeypatch):
     with pytest.raises(ValueError):
         GridSpec(0, 5, 2, 1.0, 1)
     with pytest.raises(ValueError):
@@ -109,6 +110,26 @@ def test_grid_spec_validation():
         gen_ising_grid(GridSpec(2, 2, 3, 1.0, 1))
     with pytest.raises(ValueError):
         gen_ternary_grid(GridSpec(2, 2, 2, 1.0, 1))
+    # The largest squares whose tables a .fg file may hold, and the first past it.
+    for domain, largest in ((2, 2590), (3, 1931)):
+        GridSpec(largest, largest, domain, 1.0, 1)
+        with pytest.raises(ValueError, match=r"table entries, above the \.fg cap 67108864$"):
+            GridSpec(largest + 1, largest + 1, domain, 1.0, 1)
+    with pytest.raises(ValueError, match="^a 2600x2600 grid of domain 2 has 67579200 "):
+        GridSpec(2600, 2600, 2, 1.0, 1)
+    # The count is the generated one: with the cap set to a small grid's own
+    # entries that grid passes, and one entry less refuses it.
+    counted = []
+    for rows, cols in ((1, 2), (1, 5), (2, 2), (3, 4), (4, 3)):
+        for domain, gen in ((2, gen_ising_grid), (3, gen_ternary_grid)):
+            spec = GridSpec(rows, cols, domain, 1.0, 1)
+            counted.append((spec, sum(f.table.size for f in gen(spec).factors)))
+    for spec, entries in counted:
+        monkeypatch.setattr(bench_module, "TABLE_CAP", entries - 1)
+        with pytest.raises(ValueError, match=f"has {entries} table entries"):
+            GridSpec(spec.rows, spec.cols, spec.domain_size, 1.0, 1)
+        monkeypatch.setattr(bench_module, "TABLE_CAP", entries)
+        GridSpec(spec.rows, spec.cols, spec.domain_size, 1.0, 1)
 
 
 # ------------------------------------------------------------------ gap

@@ -129,6 +129,20 @@ def test_gen_grid_refuses_a_one_cell_ternary_grid(tmp_path, capsys, monkeypatch)
     assert not fg.exists()
 
 
+def test_gen_grid_refuses_a_grid_past_the_fg_table_cap(tmp_path, capsys, monkeypatch):
+    # 2600x2600 binary tables hold 67,579,200 entries, which parse_fg would refuse.
+    monkeypatch.setattr(cli_module, "gen_ising_grid", graph_never_generated)
+    fg = tmp_path / "g.fg"
+    code, out, err = run(
+        capsys, "gen", "grid", "--rows", "2600", "--cols", "2600", "--out", str(fg),
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines()[1:] == [
+        "error: a 2600x2600 grid of domain 2 has 67579200 table entries, above the .fg cap 67108864"
+    ]
+    assert not fg.exists()
+
+
 def test_bound_sawtree_serves_a_wide_frontier_message(tmp_path, capsys):
     # The root's 4-ary ternary factor sends a frontier message over 27 other
     # states; the joint rule used to enumerate 2**27 corners and exit 2.

@@ -342,6 +342,13 @@ def test_bipartite_consistency():
         for i in range(g.num_variables):
             for fid in g.var_factors(i):
                 assert i in g.factors[fid].scope
+        # The bipartite adjacency: variables first, then factors at n + fid.
+        n = g.num_variables
+        assert len(g.nbrs) == n + g.num_factors
+        for v in range(n):
+            assert g.nbrs[v] == tuple(n + fid for fid in g.var_factors(v))
+        for f in g.factors:
+            assert g.nbrs[n + f.id] == tuple(sorted(f.scope))
 
 
 def test_factor_construction_errors():

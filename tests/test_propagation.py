@@ -166,7 +166,7 @@ def enumerate_saws(g, root):
             if w != prev:
                 extend(walk + (w,))
 
-    nbrs = propagation._registry(g).nbrs
+    nbrs = g.nbrs
     extend((root,))
     return walks
 
@@ -691,6 +691,27 @@ def test_memo_dies_with_the_graph_and_respects_the_cap(monkeypatch):
     gc.collect()
     assert ref() is None
     assert len(propagation._REGISTRIES) == before
+
+
+def test_builders_read_only_the_graph(monkeypatch):
+    # Building a tree makes no registry and clears no memo: only a bound does.
+    rng = np.random.default_rng(2801)
+    g = random_connected_graph(rng, max_vars=8, max_domain=3, max_arity=3)
+    for build in (build_saw_tree, build_subtree):
+        for r in range(g.num_variables):
+            build(g, r, 60)
+    assert g not in propagation._REGISTRIES
+    monkeypatch.setattr(propagation, "MESSAGE_MEMO_CAP", 1)
+    reg = propagation._registry(g)
+    reg.memo.update({("marker", i): None for i in range(len(g.nbrs) + 1)})
+    size = len(reg.memo)
+    for build in (build_saw_tree, build_subtree):
+        for r in range(g.num_variables):
+            build(g, r, 60)
+            assert len(reg.memo) == size
+    assert propagation._REGISTRIES[g] is reg
+    boxprop_subtree(g, build_subtree(g, 0, 60))  # a bound clears the memo
+    assert ("marker", 0) not in reg.memo
 
 
 def box_bytes(m):
